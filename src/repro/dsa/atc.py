@@ -8,7 +8,8 @@ The ATC is also the natural choke point for deterministic fault
 injection (``repro.faults``): every device translation consults the
 active injector, which may turn it into a page fault (minor or major)
 or trigger an ATC shoot-down, before the real cache/IOMMU lookup runs.
-With no injector installed those checks are a single ``None`` test.
+With no injector installed those checks are a single ``None`` test,
+made once per range for a transfer's tail pages.
 """
 
 from __future__ import annotations
@@ -131,17 +132,12 @@ class DeviceAtc:
         if size <= 0:
             return 0.0, 0
         page = self._page_size(pasid)
-        critical, first_fault = self.translate(pasid, va)
-        faults = int(first_fault)
-        first_page_end = (va // page + 1) * page
-        cursor = first_page_end
-        while cursor < va + size:
-            latency, faulted = self.translate(pasid, cursor)
-            if faulted:
-                # A fault stalls the engine for its full service time.
-                critical += latency
-                faults += 1
-            cursor += page
+        critical, faulted = self.translate(pasid, va)
+        faults = int(faulted)
+        if va % page + size > page:
+            critical, faults, _ = self._walk_tail(
+                pasid, va, size, page, critical, faults, service_fault=True
+            )
         return critical, faults
 
     def translate_range_partial(
@@ -149,9 +145,9 @@ class DeviceAtc:
     ) -> Tuple[float, int, Optional[int]]:
         """Translate pages until the first fault (BOF=0 semantics).
 
-        Returns ``(critical_path_latency, faults, fault_va)``.  Walks
-        the same page sequence as :meth:`translate_range` but with
-        ``service_fault=False`` and stops at the first faulting page:
+        Returns ``(critical_path_latency, faults, fault_va)``.  Shares
+        :meth:`_walk_tail` with :meth:`translate_range` but with
+        ``service_fault=False``, stopping at the first faulting page:
         that fault is only discovered (walk latency on the critical
         path), the page is left unmapped, and ``fault_va`` is the base
         address of the faulting page (clamped to ``va`` for the first
@@ -161,16 +157,91 @@ class DeviceAtc:
         if size <= 0:
             return 0.0, 0, None
         page = self._page_size(pasid)
-        critical, first_fault = self.translate(pasid, va, service_fault=False)
-        if first_fault:
+        critical, faulted = self.translate(pasid, va, service_fault=False)
+        if faulted:
             return critical, 1, va
-        cursor = (va // page + 1) * page
-        while cursor < va + size:
-            latency, faulted = self.translate(pasid, cursor, service_fault=False)
+        if va % page + size <= page:
+            return critical, 0, None
+        return self._walk_tail(pasid, va, size, page, critical, 0, service_fault=False)
+
+    def _walk_tail(
+        self,
+        pasid: int,
+        va: int,
+        size: int,
+        page: int,
+        critical: float,
+        faults: int,
+        service_fault: bool,
+    ) -> Tuple[float, int, Optional[int]]:
+        """Translate the pages of ``[va, va+size)`` after the first one.
+
+        Callers translate the first page themselves and call this only
+        when the range spans more than one ``page``.  Returns
+        ``(critical, faults, fault_va)``: the first page's ``critical``
+        latency and ``faults`` plus the tail's faults.  The tail
+        overlaps with streaming, so a page that does not fault adds no
+        latency and none is computed: an ATC hit, or an IOTLB hit or
+        fill for an already-mapped page, is done inline on the cache
+        maps, and its counts are flushed once at the end.  Two kinds of
+        page take the exact per-page :meth:`translate` instead:
+
+        * every page while a fault injector is active, so its decisions
+          are drawn in the same page order;
+        * a page that misses the ATC and IOTLB and is unmapped — a real
+          fault, which stalls the engine for its full service time
+          (BOF=1) or ends the walk at ``fault_va`` (BOF=0, nothing
+          cached or mapped for it and no later page touched).
+
+        Cache LRU order, counters, frame allocation and metrics end up
+        exactly as a per-page :meth:`translate` loop leaves them.
+        """
+        exact = active_injector() is not None
+        cache, entries = self._cache, self.entries
+        iotlb, iotlb_entries, mapping = self.iommu.walk_state(pasid)
+        hits = misses = iotlb_hits = iotlb_misses = 0
+        fault_va = None
+        for vpn in range(va // page + 1, (va + size - 1) // page + 1):
+            if not exact:
+                key = (pasid, vpn)
+                if key in cache:
+                    cache.move_to_end(key)
+                    hits += 1
+                    continue
+                if vpn in iotlb:
+                    iotlb.move_to_end(vpn)
+                    iotlb_hits += 1
+                elif vpn in mapping:
+                    iotlb_misses += 1
+                    if len(iotlb) >= iotlb_entries:
+                        iotlb.popitem(last=False)
+                    iotlb[vpn] = True
+                else:
+                    key = None  # unmapped: fault on the exact path below
+                if key is not None:
+                    misses += 1
+                    if len(cache) >= entries:
+                        cache.popitem(last=False)
+                    cache[key] = True
+                    continue
+            latency, faulted = self.translate(pasid, vpn * page, service_fault)
             if faulted:
-                return critical + latency, 1, cursor
-            cursor += page
-        return critical, 0, None
+                critical += latency
+                faults += 1
+                if not service_fault:
+                    fault_va = vpn * page
+                    break
+        if hits:
+            self.hits += hits
+            if self._m_hits is not None:
+                self._m_hits.add(hits)
+        if misses:
+            # Each inline ATC miss was one IOTLB lookup.
+            self.misses += misses
+            if self._m_misses is not None:
+                self._m_misses.add(misses)
+            self.iommu.count_walk(pasid, iotlb_hits, iotlb_misses)
+        return critical, faults, fault_va
 
     def flush(self) -> None:
         """Drop every cached translation (ATC shoot-down / device reset)."""

@@ -105,6 +105,11 @@ def io_demand(work: WorkDescriptor, space: AddressSpace) -> IoDemand:
     return demand
 
 
+def _all_backed(operands: List[Tuple[Buffer, int, int]]) -> bool:
+    """True when there are operands and every one's buffer holds bytes."""
+    return bool(operands) and all(buffer.backed for buffer, _va, _n in operands)
+
+
 class ProcessingEngine:
     """One PE: serial descriptor unit + pipelined data movers."""
 
@@ -275,12 +280,13 @@ class ProcessingEngine:
             # IOMMU: a UPI round trip plus queueing behind other remote
             # translations (fleet platforms only — see
             # MemorySystem.ats_acquire).
+            operands = demand.reads + demand.writes
             memsys = device.memsys
             remote_homes: Tuple[int, ...] = ()
             if memsys.model_ats_contention and memsys.topology.sockets > 1:
                 homes = {
                     memsys.topology.socket_of(buffer.node)
-                    for buffer, _va, _nbytes in demand.reads + demand.writes
+                    for buffer, _va, _nbytes in operands
                 }
                 homes.discard(device.socket)
                 remote_homes = tuple(sorted(homes))
@@ -294,7 +300,7 @@ class ProcessingEngine:
             translate_ns = 0.0
             total_faults = 0
             if work.block_on_fault:
-                for _buffer, va, nbytes in demand.reads + demand.writes:
+                for _buffer, va, nbytes in operands:
                     latency, faults = device.atc.translate_range(
                         work.pasid, va, nbytes
                     )
@@ -303,7 +309,7 @@ class ProcessingEngine:
             else:
                 fault_offset = None
                 fault_va = None
-                for _buffer, va, nbytes in demand.reads + demand.writes:
+                for _buffer, va, nbytes in operands:
                     latency, faults, first_fault = device.atc.translate_range_partial(
                         work.pasid, va, nbytes
                     )
@@ -315,7 +321,8 @@ class ProcessingEngine:
                             fault_va = first_fault
                 if fault_offset is not None:
                     yield from self._fault_abort(
-                        work, space, demand, translate_ns + ats_ns, fault_offset, fault_va
+                        work, space, demand, operands, translate_ns + ats_ns,
+                        fault_offset, fault_va,
                     )
                     if remote_homes:
                         memsys.ats_release(remote_homes)
@@ -345,7 +352,7 @@ class ProcessingEngine:
 
             if work.opcode is Opcode.CACHE_FLUSH:
                 yield env.timeout(work.size / timing.cache_flush_bandwidth)
-                self._finish_functional(work, space, demand)
+                self._finish_functional(work, space, operands)
                 yield env.timeout(timing.completion_write_ns)
                 work.times.completed = env.now
                 if traced:
@@ -371,7 +378,7 @@ class ProcessingEngine:
             if write_tail:
                 yield env.timeout(write_tail)
 
-            self._finish_functional(work, space, demand)
+            self._finish_functional(work, space, operands)
             yield env.timeout(timing.completion_write_ns)
             work.times.completed = env.now
             if traced:
@@ -394,6 +401,7 @@ class ProcessingEngine:
         work: WorkDescriptor,
         space: AddressSpace,
         demand: IoDemand,
+        operands: List[Tuple[Buffer, int, int]],
         translate_ns: float,
         fault_offset: int,
         fault_va: int,
@@ -445,10 +453,8 @@ class ProcessingEngine:
                 yield env.all_of(flows)
             if write_tail:
                 yield env.timeout(write_tail)
-            if work.opcode in RESUMABLE_OPCODES:
-                buffers = [buf for buf, _va, _n in head.reads + head.writes]
-                if buffers and all(buffer.backed for buffer in buffers):
-                    functional.execute(work.clone_range(0, fault_offset), space)
+            if work.opcode in RESUMABLE_OPCODES and _all_backed(operands):
+                functional.execute(work.clone_range(0, fault_offset), space)
             if traced:
                 tracer.end(env.now, "execute", "execute", agent, track)
         work.completion.status = StatusCode.PAGE_FAULT
@@ -514,10 +520,14 @@ class ProcessingEngine:
             flows.append(device.port.transfer(port_bytes, weight=work.dispatch_weight))
         return flows, write_tail
 
-    def _finish_functional(self, work: WorkDescriptor, space: AddressSpace, demand: IoDemand):
+    def _finish_functional(
+        self,
+        work: WorkDescriptor,
+        space: AddressSpace,
+        operands: List[Tuple[Buffer, int, int]],
+    ):
         """Run the real byte operation when buffers are backed."""
-        buffers = [buf for buf, _va, _n in demand.reads + demand.writes]
-        if buffers and all(buffer.backed for buffer in buffers):
+        if _all_backed(operands):
             functional.execute(work, space)
         else:
             work.completion.status = StatusCode.SUCCESS

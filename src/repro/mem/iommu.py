@@ -10,6 +10,7 @@ model provides.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -109,26 +110,33 @@ class Iommu:
         iotlb.fill(va)
         return latency, faulted
 
-    def range_translation_cost(self, pasid: int, va: int, size: int) -> Tuple[float, float, int]:
-        """Translate every page under ``[va, va+size)``.
+    def walk_state(self, pasid: int) -> Tuple[OrderedDict[int, bool], int, Dict[int, int]]:
+        """Hand a range walker ``pasid``'s IOTLB and page table.
 
-        Returns ``(first_page_latency, pipelined_latency, faults)``.
-        The first page's translation is on the critical path of a
-        transfer; the remaining pages overlap with data streaming
-        (paper Fig 8: page size barely affects throughput), so callers
-        usually charge only ``first_page_latency`` plus any fault cost.
+        Returns ``(iotlb, iotlb_entries, mapping)``: the IOTLB's LRU map
+        of virtual page numbers, its capacity, and the page table's
+        vpn → frame map.  A walker may do inline what :meth:`translate`
+        does for a page that hits the IOTLB or is already mapped —
+        refresh the hit, or fill the entry evicting the LRU one — and
+        nothing else: an unmapped page is a fault and goes through
+        :meth:`translate`.  It reports what it did through
+        :meth:`count_walk`.
         """
         table = self._tables.get(pasid)
         if table is None:
             raise KeyError(f"PASID {pasid} not attached to IOMMU")
-        pages = table.pages_spanned(va, size)
-        if pages == 0:
-            return 0.0, 0.0, 0
-        first_latency, first_fault = self.translate(pasid, va)
-        faults = int(first_fault)
-        pipelined = 0.0
-        for index in range(1, pages):
-            latency, faulted = self.translate(pasid, va + index * table.page_size)
-            pipelined += latency
-            faults += int(faulted)
-        return first_latency, pipelined, faults
+        iotlb = self._iotlbs[pasid]
+        return iotlb._cache, iotlb.entries, table._mapping
+
+    def count_walk(self, pasid: int, iotlb_hits: int, iotlb_misses: int) -> None:
+        """Add a range walk's batched counts, as :meth:`translate` would
+        have one page at a time: each IOTLB lookup is one translation."""
+        iotlb = self._iotlbs[pasid]
+        iotlb.hits += iotlb_hits
+        iotlb.misses += iotlb_misses
+        lookups = iotlb_hits + iotlb_misses
+        self.translations += lookups
+        if self._m_translations is not None and lookups:
+            self._m_translations.add(lookups)
+        if self._m_iotlb_misses is not None and iotlb_misses:
+            self._m_iotlb_misses.add(iotlb_misses)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.dsa.atc import DeviceAtc
 from repro.mem.iommu import Iommu, IommuParams
 from repro.mem.pagetable import PAGE_2M, PAGE_4K, PageTable
 from repro.mem.tlb import Tlb
@@ -139,20 +140,24 @@ class TestIommu:
 
     def test_range_translation_counts_faults(self):
         iommu, table = self._attached()
-        first, pipelined, faults = iommu.range_translation_cost(7, 0, 4 * PAGE_4K)
+        critical, faults = DeviceAtc(iommu).translate_range(7, 0, 4 * PAGE_4K)
         assert faults == 4
-        assert first > 0 and pipelined > 0
+        assert iommu.page_faults == 4 and table.minor_faults == 4
+        assert iommu.translations == 4
+        # Every demand fault stalls the engine for its service time.
+        assert critical >= 4 * iommu.params.page_fault_latency
 
     def test_range_translation_huge_pages_fewer_translations(self):
-        iommu4k, t4k = self._attached()
-        iommu2m = Iommu()
-        iommu2m.attach(7, PageTable(PAGE_2M))
         size = 8 * 1024 * 1024
-        t4k.map_range(0, size)
-        _f4, pipelined_4k, _ = iommu4k.range_translation_cost(7, 0, size)
-        iommu2m._tables[7].map_range(0, size)
-        _f2, pipelined_2m, _ = iommu2m.range_translation_cost(7, 0, size)
-        assert pipelined_2m < pipelined_4k
+        translations = {}
+        for page_size in (PAGE_4K, PAGE_2M):
+            iommu, table = self._attached(page_size)
+            table.map_range(0, size)
+            _critical, faults = DeviceAtc(iommu).translate_range(7, 0, size)
+            assert faults == 0
+            translations[page_size] = iommu.translations
+        assert translations[PAGE_2M] == 4
+        assert translations[PAGE_2M] < translations[PAGE_4K]
 
     def test_detach_then_translate_fails(self):
         iommu, _table = self._attached()
@@ -162,4 +167,5 @@ class TestIommu:
 
     def test_zero_size_range(self):
         iommu, _ = self._attached()
-        assert iommu.range_translation_cost(7, 0, 0) == (0.0, 0.0, 0)
+        assert DeviceAtc(iommu).translate_range(7, 0, 0) == (0.0, 0)
+        assert iommu.translations == 0 and iommu.page_faults == 0
