@@ -11,12 +11,16 @@ descriptors.  This split is what produces the paper's two regimes:
 * asynchronous offload amortizes everything but the serial stage, so a
   single PE saturates the 30 GB/s fabric at moderate sizes (Figs 3, 4)
   and small transfers scale with more PEs (Fig 7).
+
+Both stages are fixed per-descriptor chains, so they run as event
+callbacks on the calendar entries a generator would have yielded, not
+as generator processes (docs/PERFORMANCE.md §9).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Tuple, TYPE_CHECKING
+from typing import Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.dsa.descriptor import BatchDescriptor, WorkDescriptor
 from repro.dsa.errors import StatusCode
@@ -29,8 +33,13 @@ from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.dsa.arbiter import Descriptor
     from repro.dsa.device import DsaDevice
     from repro.dsa.group import Group
+
+#: The FENCE bit as a plain ``int``: ``IntFlag`` arithmetic runs
+#: Python-level enum code, about ten times an ``int`` mask's cost.
+_FENCE = int(DescriptorFlags.FENCE)
 
 
 @dataclass
@@ -111,7 +120,17 @@ def _all_backed(operands: List[Tuple[Buffer, int, int]]) -> bool:
 
 
 class ProcessingEngine:
-    """One PE: serial descriptor unit + pipelined data movers."""
+    """One PE: serial descriptor unit + pipelined data movers.
+
+    Both stages are chains of event callbacks, not generator processes:
+    each stage pushes its next calendar entry (a timeout, an arbiter
+    get, a read-buffer request, an ``all_of``) and hangs the next stage
+    on that event's callbacks.  The entries, and the order they are
+    pushed in, are those a generator yielding the same events would
+    push, so the calendar pops in the same order (docs/PERFORMANCE.md
+    §9).  The serial stage handles one descriptor at a time, so its
+    state lives on the engine; each data phase is a :class:`_DataPhase`.
+    """
 
     def __init__(self, device: "DsaDevice", group: "Group", engine_id: int):
         self.device = device
@@ -122,33 +141,47 @@ class ProcessingEngine:
         buffers = group.config.read_buffers_per_engine or timing.read_buffers_per_engine
         self.read_buffers = Resource(self.env, capacity=buffers)
         self.descriptors_processed = 0
-        self._inflight: List[Event] = []
+        #: Data phases in flight, oldest first: what a DRAIN waits for.
+        self._inflight: Dict[_DataPhase, None] = {}
         self.agent = f"{device.name}.pe{engine_id}"
         self._m_data_phases = self.env.metrics.counter(f"{self.agent}.data_phases")
-        self._process = self.env.process(self._run(), name=f"{device.name}.pe{engine_id}")
+        # Serial-stage state: the descriptor the arbiter delivered, the
+        # work descriptor in setup, and a batch's remaining members and
+        # admitted data phases' exit events.
+        self._descriptor: Optional[Descriptor] = None
+        self._work: Optional[WorkDescriptor] = None
+        self._members: Optional[Iterator[WorkDescriptor]] = None
+        self._batch_events: Optional[List[Event]] = None
+        # Boot entry: the engine first asks the arbiter when this pops.
+        self.env.timeout(0.0).callbacks.append(self._idle)
 
-    # -- main loop ------------------------------------------------------------
-    def _run(self) -> Generator:
-        timing = self.device.timing
-        while True:
-            descriptor = yield self.group.arbiter.get()
-            descriptor.times.dispatched = self.env.now
-            yield self.env.timeout(timing.dispatch_ns)
-            if not self.device.enabled:
-                # The driver disabled the device between enqueue and
-                # dispatch (its WQ drain raced this arbiter pop).
-                yield from self._abort_reset(descriptor, counter="disable_aborts")
-                continue
-            injector = active_injector()
-            if injector is not None and injector.device_reset(self.env.now):
-                yield from self._abort_reset(descriptor)
-                continue
-            if isinstance(descriptor, BatchDescriptor):
-                yield from self._run_batch(descriptor)
-            else:
-                yield from self._admit(descriptor, batch_events=None)
+    # -- serial stage ----------------------------------------------------------
+    def _idle(self, _event: Optional[Event] = None) -> None:
+        """Wait for the arbiter's next descriptor."""
+        self.group.arbiter.get().callbacks.append(self._dispatch)
 
-    def _abort_reset(self, descriptor, counter: str = "reset_aborts") -> Generator:
+    def _dispatch(self, event: Event) -> None:
+        descriptor = event.value
+        descriptor.times.dispatched = self.env.now
+        self._descriptor = descriptor
+        self.env.timeout(self.device.timing.dispatch_ns).callbacks.append(self._dispatched)
+
+    def _dispatched(self, _event: Event) -> None:
+        descriptor = self._descriptor
+        if not self.device.enabled:
+            # The driver disabled the device between enqueue and
+            # dispatch (its WQ drain raced this arbiter pop).
+            self._abort_reset(descriptor, counter="disable_aborts")
+            return
+        injector = active_injector()
+        if injector is not None and injector.device_reset(self.env.now):
+            self._abort_reset(descriptor)
+        elif isinstance(descriptor, BatchDescriptor):
+            self._start_batch(descriptor)
+        else:
+            self._admit(descriptor)
+
+    def _abort_reset(self, descriptor: Descriptor, counter: str = "reset_aborts") -> None:
         """Transient reset or driver disable: abort mid-flight, drop the ATC.
 
         Software sees ``DEVICE_DISABLED`` in the completion record and
@@ -164,19 +197,26 @@ class ProcessingEngine:
             self.env.tracer.instant(
                 self.env.now, "device_reset", "execute", self.agent, descriptor.trace_track
             )
-        yield self.env.timeout(timing.completion_write_ns)
+        self.env.timeout(timing.completion_write_ns).callbacks.append(
+            self._descriptor_written
+        )
+
+    def _descriptor_written(self, _event: Event) -> None:
+        """Completion record of the dispatched descriptor written by the serial stage."""
+        descriptor = self._descriptor
         descriptor.times.completed = self.env.now
         self.device._complete(descriptor)
+        self._idle()
 
-    def _run_batch(self, batch: BatchDescriptor) -> Generator:
+    def _start_batch(self, batch: BatchDescriptor) -> None:
         """Batch unit: fetch the descriptor array, then stream it (F2)."""
         timing = self.device.timing
         invalid = batch.validate()
         if invalid is not None:
             batch.completion.status = invalid
-            yield self.env.timeout(timing.completion_write_ns)
-            batch.times.completed = self.env.now
-            self.device._complete(batch)
+            self.env.timeout(timing.completion_write_ns).callbacks.append(
+                self._descriptor_written
+            )
             return
         fetch = (
             timing.batch_fetch_base_ns
@@ -193,277 +233,110 @@ class ProcessingEngine:
                 batch.trace_track,
                 {"descriptors": len(batch.descriptors)},
             )
-        yield self.env.timeout(fetch)
-        events: List[Event] = []
-        for work in batch.descriptors:
+        self.env.timeout(fetch).callbacks.append(self._batch_fetched)
+
+    def _batch_fetched(self, _event: Event) -> None:
+        self._members = iter(self._descriptor.descriptors)
+        self._batch_events = []
+        self._next_member()
+
+    def _next_member(self) -> None:
+        batch = self._descriptor
+        for work in self._members:
             work.dispatch_weight = batch.dispatch_weight
-            yield from self._admit(work, batch_events=events)
-        # The engine moves on to the next WQ descriptor; a side process
-        # writes the batch completion once every member has finished.
-        self.env.process(
-            self._finish_batch(batch, events),
-            name=f"{self.device.name}.pe{self.engine_id}.batch",
-        )
+            self._admit(work)
+            return
+        events = self._batch_events
+        self._members = self._batch_events = None
+        self._finish_batch(batch, events)
+        self._idle()
 
-    def _finish_batch(self, batch: BatchDescriptor, events: List[Event]) -> Generator:
+    def _finish_batch(self, batch: BatchDescriptor, events: List[Event]) -> None:
+        """Write the batch completion once ``events`` (its members' data
+        phases) have all triggered; the engine does not wait for it."""
+        env = self.env
         timing = self.device.timing
-        if events:
-            yield self.env.all_of(events)
-        failed = sum(1 for d in batch.descriptors if not d.completion.status.is_success)
-        batch.completion.status = StatusCode.BATCH_FAILED if failed else StatusCode.SUCCESS
-        batch.completion.bytes_completed = len(batch.descriptors) - failed
-        yield self.env.timeout(timing.completion_write_ns)
-        batch.times.completed = self.env.now
-        self.device._complete(batch)
 
-    def _admit(self, work: WorkDescriptor, batch_events) -> Generator:
+        def members_done(_event: Optional[Event] = None) -> None:
+            failed = sum(1 for d in batch.descriptors if not d.completion.status.is_success)
+            batch.completion.status = StatusCode.BATCH_FAILED if failed else StatusCode.SUCCESS
+            batch.completion.bytes_completed = len(batch.descriptors) - failed
+            env.timeout(timing.completion_write_ns).callbacks.append(written)
+
+        def written(_event: Event) -> None:
+            batch.times.completed = env.now
+            self.device._complete(batch)
+
+        def start(_event: Event) -> None:
+            if events:
+                env.all_of(events).callbacks.append(members_done)
+            else:
+                members_done()
+
+        # Boot entry: the wait for the members starts when this pops.
+        env.timeout(0.0).callbacks.append(start)
+
+    def _serial_done(self) -> None:
+        """The serial stage is done with one work descriptor."""
+        if self._members is None:
+            self._idle()
+        else:
+            self._next_member()
+
+    def _admit(self, work: WorkDescriptor) -> None:
         """Serial stage; then hand off to a pipelined data phase."""
-        timing = self.device.timing
-        yield self.env.timeout(timing.pe_setup_ns)
+        self._work = work
+        self.env.timeout(self.device.timing.pe_setup_ns).callbacks.append(self._set_up)
+
+    def _set_up(self, _event: Event) -> None:
+        work = self._work
         invalid = work.validate()
         if invalid is not None:
             work.completion.status = invalid
-            yield self.env.timeout(timing.completion_write_ns)
-            work.times.completed = self.env.now
-            self.device._complete(work)
+            self.env.timeout(self.device.timing.completion_write_ns).callbacks.append(
+                self._work_written
+            )
             return
         if work.opcode is Opcode.DRAIN:
             # Drain: complete only after everything already dispatched
             # to this engine has finished.
-            pending = [event for event in self._inflight if not event.triggered]
-            if pending:
-                yield self.env.all_of(pending)
-            work.completion.status = StatusCode.SUCCESS
-            yield self.env.timeout(timing.completion_write_ns)
-            work.times.completed = self.env.now
-            self.device._complete(work)
-            return
-        if work.flags & DescriptorFlags.FENCE and batch_events:
-            yield self.env.all_of(list(batch_events))
-        yield self.read_buffers.request()  # stall when the pipeline is full
-        data_phase = self.env.process(
-            self._data_phase(work), name=f"{self.device.name}.pe{self.engine_id}.data"
-        )
-        self._inflight = [e for e in self._inflight if not e.triggered]
-        self._inflight.append(data_phase)
-        if batch_events is not None:
-            batch_events.append(data_phase)
-
-    # -- pipelined data stage ----------------------------------------------------
-    def _data_phase(self, work: WorkDescriptor) -> Generator:
-        device = self.device
-        timing = device.timing
-        env = self.env
-        tracer = env.tracer
-        traced = tracer.enabled and work.trace_track >= 0
-        agent, track = self.agent, work.trace_track
-        try:
-            if traced:
-                tracer.begin(env.now, "translate", "translate", agent, track)
-            space = device.space_for(work.pasid)
-            try:
-                demand = io_demand(work, space)
-            except KeyError:
-                # Address not mapped in this PASID's space: the IOMMU
-                # reports an unrecoverable translation fault.
-                work.completion.status = StatusCode.PAGE_FAULT
-                work.completion.fault_address = work.src or work.dst
-                if traced:
-                    tracer.instant(env.now, "unmapped_address", "translate", agent, track)
-                    tracer.end(env.now, "translate", "translate", agent, track)
-                yield env.timeout(timing.completion_write_ns)
-                work.times.completed = env.now
-                device._complete(work)
-                return
-
-            # Remote-socket operands translate at their home socket's
-            # IOMMU: a UPI round trip plus queueing behind other remote
-            # translations (fleet platforms only — see
-            # MemorySystem.ats_acquire).
-            operands = demand.reads + demand.writes
-            memsys = device.memsys
-            remote_homes: Tuple[int, ...] = ()
-            if memsys.model_ats_contention and memsys.topology.sockets > 1:
-                homes = {
-                    memsys.topology.socket_of(buffer.node)
-                    for buffer, _va, _nbytes in operands
-                }
-                homes.discard(device.socket)
-                remote_homes = tuple(sorted(homes))
-            ats_ns = (
-                memsys.ats_acquire(device.socket, remote_homes) if remote_homes else 0.0
-            )
-
-            # Address translation: first page on the critical path,
-            # page faults stall for their full service time (BOF=1) or
-            # abort the descriptor with a partial completion (BOF=0).
-            translate_ns = 0.0
-            total_faults = 0
-            if work.block_on_fault:
-                for _buffer, va, nbytes in operands:
-                    latency, faults = device.atc.translate_range(
-                        work.pasid, va, nbytes
-                    )
-                    translate_ns = max(translate_ns, latency)
-                    total_faults += faults
+            if self._inflight:
+                pending = [phase.exit_event() for phase in self._inflight]
+                self.env.all_of(pending).callbacks.append(self._drained)
             else:
-                fault_offset = None
-                fault_va = None
-                for _buffer, va, nbytes in operands:
-                    latency, faults, first_fault = device.atc.translate_range_partial(
-                        work.pasid, va, nbytes
-                    )
-                    translate_ns = max(translate_ns, latency)
-                    if faults:
-                        offset = min(nbytes, max(0, first_fault - va))
-                        if fault_offset is None or offset < fault_offset:
-                            fault_offset = offset
-                            fault_va = first_fault
-                if fault_offset is not None:
-                    yield from self._fault_abort(
-                        work, space, demand, operands, translate_ns + ats_ns,
-                        fault_offset, fault_va,
-                    )
-                    if remote_homes:
-                        memsys.ats_release(remote_homes)
-                    return
-            translate_ns += ats_ns
-            if translate_ns:
-                yield env.timeout(translate_ns)
-            if remote_homes:
-                memsys.ats_release(remote_homes)
-            if traced:
-                tracer.end(
-                    env.now,
-                    "translate",
-                    "translate",
-                    agent,
-                    track,
-                    {"faults": total_faults} if total_faults else None,
-                )
-                tracer.begin(
-                    env.now,
-                    "execute",
-                    "execute",
-                    agent,
-                    track,
-                    {"opcode": work.opcode.name, "size": work.size},
-                )
+                self._drained()
+            return
+        batch_events = self._batch_events
+        if batch_events and int(work.flags) & _FENCE:
+            self.env.all_of(batch_events).callbacks.append(self._fenced)
+        else:
+            self._fenced()
 
-            if work.opcode is Opcode.CACHE_FLUSH:
-                yield env.timeout(work.size / timing.cache_flush_bandwidth)
-                self._finish_functional(work, space, operands)
-                yield env.timeout(timing.completion_write_ns)
-                work.times.completed = env.now
-                if traced:
-                    tracer.end(env.now, "execute", "execute", agent, track)
-                device._complete(work)
-                return
+    def _drained(self, _event: Optional[Event] = None) -> None:
+        self._work.completion.status = StatusCode.SUCCESS
+        self.env.timeout(self.device.timing.completion_write_ns).callbacks.append(
+            self._work_written
+        )
 
-            # Source access latency (critical path, once per descriptor).
-            read_ns = 0.0
-            for buffer, _va, _nbytes in demand.reads:
-                read_ns = max(
-                    read_ns,
-                    device.memsys.read_latency(
-                        buffer.node, device.socket, in_llc=buffer.in_llc
-                    ),
-                )
-            if read_ns:
-                yield env.timeout(read_ns)
+    def _work_written(self, _event: Event) -> None:
+        """Completion record of a descriptor that never reached a data phase."""
+        work = self._work
+        work.times.completed = self.env.now
+        self.device._complete(work)
+        self._serial_done()
 
-            flows, write_tail = self._build_flows(work, demand)
-            if flows:
-                yield env.all_of(flows)
-            if write_tail:
-                yield env.timeout(write_tail)
+    def _fenced(self, _event: Optional[Event] = None) -> None:
+        # Stall when the pipeline is full.
+        self.read_buffers.request().callbacks.append(self._admitted)
 
-            self._finish_functional(work, space, operands)
-            yield env.timeout(timing.completion_write_ns)
-            work.times.completed = env.now
-            if traced:
-                tracer.end(
-                    env.now,
-                    "execute",
-                    "execute",
-                    agent,
-                    track,
-                    {"status": work.completion.status.name},
-                )
-            device._complete(work)
-        finally:
-            self.read_buffers.release()
-            self.descriptors_processed += 1
-            self._m_data_phases.add()
-
-    def _fault_abort(
-        self,
-        work: WorkDescriptor,
-        space: AddressSpace,
-        demand: IoDemand,
-        operands: List[Tuple[Buffer, int, int]],
-        translate_ns: float,
-        fault_offset: int,
-        fault_va: int,
-    ) -> Generator:
-        """BOF=0 page fault: finish the head, report partial completion.
-
-        The engine has moved ``fault_offset`` bytes when the faulting
-        page's translation comes back unserviced; it writes a completion
-        record with ``PAGE_FAULT``, ``bytes_completed`` up to the fault,
-        and the faulting address, then moves on — fault resolution is
-        software's job (paper §4.3: touch the page, resubmit the rest).
-        """
-        device = self.device
-        timing = device.timing
-        env = self.env
-        tracer = env.tracer
-        traced = tracer.enabled and work.trace_track >= 0
-        agent, track = self.agent, work.trace_track
-        if translate_ns:
-            yield env.timeout(translate_ns)
-        if traced:
-            tracer.instant(
-                env.now, "page_fault", "translate", agent, track, {"va": fault_va}
-            )
-            tracer.end(env.now, "translate", "translate", agent, track)
-        if fault_offset > 0:
-            # Move the completed head through the normal data path.
-            head = IoDemand(
-                reads=[(b, va, min(n, fault_offset)) for b, va, n in demand.reads],
-                writes=[(b, va, min(n, fault_offset)) for b, va, n in demand.writes],
-            )
-            if traced:
-                tracer.begin(
-                    env.now, "execute", "execute", agent, track,
-                    {"opcode": work.opcode.name, "partial": fault_offset},
-                )
-            read_ns = 0.0
-            for buffer, _va, _nbytes in head.reads:
-                read_ns = max(
-                    read_ns,
-                    device.memsys.read_latency(
-                        buffer.node, device.socket, in_llc=buffer.in_llc
-                    ),
-                )
-            if read_ns:
-                yield env.timeout(read_ns)
-            flows, write_tail = self._build_flows(work, head)
-            if flows:
-                yield env.all_of(flows)
-            if write_tail:
-                yield env.timeout(write_tail)
-            if work.opcode in RESUMABLE_OPCODES and _all_backed(operands):
-                functional.execute(work.clone_range(0, fault_offset), space)
-            if traced:
-                tracer.end(env.now, "execute", "execute", agent, track)
-        work.completion.status = StatusCode.PAGE_FAULT
-        work.completion.bytes_completed = fault_offset
-        work.completion.fault_address = fault_va
-        env.metrics.counter(f"{device.name}.partial_completions").add()
-        yield env.timeout(timing.completion_write_ns)
-        work.times.completed = env.now
-        device._complete(work)
+    def _admitted(self, _event: Event) -> None:
+        phase = _DataPhase(self, self._work)
+        # Boot entry: the data phase starts when this pops.
+        self.env.timeout(0.0).callbacks.append(phase.start)
+        self._inflight[phase] = None
+        if self._batch_events is not None:
+            self._batch_events.append(phase.exit_event())
+        self._serial_done()
 
     def _build_flows(self, work: WorkDescriptor, demand: IoDemand):
         """Create the bandwidth flows for one descriptor's data."""
@@ -532,3 +405,329 @@ class ProcessingEngine:
         else:
             work.completion.status = StatusCode.SUCCESS
             work.completion.bytes_completed = work.size
+
+
+class _DataPhase:
+    """One descriptor's pipelined data stage, as a chain of event callbacks.
+
+    translate → read latency → fair-share flows → write tail →
+    completion record; a BOF=0 page fault moves the head up to the
+    fault through the same read/flow/write stages, then writes a
+    partial completion.  A model exception escaping a stage frees the
+    read buffer before it propagates out of ``env.run()``.
+    """
+
+    __slots__ = (
+        "pe",
+        "work",
+        "traced",
+        "space",
+        "demand",
+        "operands",
+        "remote_homes",
+        "faults",
+        "fault_offset",
+        "fault_va",
+        "write_tail",
+        "exit",
+    )
+
+    def __init__(self, pe: ProcessingEngine, work: WorkDescriptor):
+        self.pe = pe
+        self.work = work
+        self.remote_homes: Tuple[int, ...] = ()
+        self.fault_offset: Optional[int] = None
+        self.exit: Optional[Event] = None
+
+    def exit_event(self) -> Event:
+        """Triggers when the phase retires.
+
+        Made on demand: only a DRAIN, a FENCE or a batch waits for a
+        data phase, and an exit nobody waits for would be a calendar
+        entry whose pop runs no callback.
+        """
+        if self.exit is None:
+            self.exit = Event(self.pe.env)
+        return self.exit
+
+    def retire(self) -> None:
+        """Free the read buffer, count the phase, trigger its exit event."""
+        pe = self.pe
+        del pe._inflight[self]
+        pe.read_buffers.release()
+        pe.descriptors_processed += 1
+        pe._m_data_phases.add()
+        if self.exit is not None:
+            self.exit.succeed()
+
+    def _fail(self) -> None:
+        """Free the read buffer once, however many stages an error unwinds."""
+        if self in self.pe._inflight:
+            self.retire()
+
+    def start(self, _event: Event) -> None:
+        pe = self.pe
+        device = pe.device
+        env = pe.env
+        work = self.work
+        tracer = env.tracer
+        traced = self.traced = tracer.enabled and work.trace_track >= 0
+        agent, track = pe.agent, work.trace_track
+        try:
+            if traced:
+                tracer.begin(env.now, "translate", "translate", agent, track)
+            space = self.space = device.space_for(work.pasid)
+            try:
+                demand = io_demand(work, space)
+            except KeyError:
+                # Address not mapped in this PASID's space: the IOMMU
+                # reports an unrecoverable translation fault.
+                work.completion.status = StatusCode.PAGE_FAULT
+                work.completion.fault_address = work.src or work.dst
+                if traced:
+                    tracer.instant(env.now, "unmapped_address", "translate", agent, track)
+                    tracer.end(env.now, "translate", "translate", agent, track)
+                env.timeout(device.timing.completion_write_ns).callbacks.append(
+                    self._fault_written
+                )
+                return
+            self.demand = demand
+
+            # Remote-socket operands translate at their home socket's
+            # IOMMU: a UPI round trip plus queueing behind other remote
+            # translations (fleet platforms only — see
+            # MemorySystem.ats_acquire).
+            operands = self.operands = demand.reads + demand.writes
+            memsys = device.memsys
+            if memsys.model_ats_contention and memsys.topology.sockets > 1:
+                homes = {
+                    memsys.topology.socket_of(buffer.node)
+                    for buffer, _va, _nbytes in operands
+                }
+                homes.discard(device.socket)
+                self.remote_homes = tuple(sorted(homes))
+            remote_homes = self.remote_homes
+            ats_ns = (
+                memsys.ats_acquire(device.socket, remote_homes) if remote_homes else 0.0
+            )
+
+            # Address translation: first page on the critical path,
+            # page faults stall for their full service time (BOF=1) or
+            # abort the descriptor with a partial completion (BOF=0).
+            translate_ns = 0.0
+            total_faults = 0
+            translated = self._translated
+            if work.block_on_fault:
+                for _buffer, va, nbytes in operands:
+                    latency, faults = device.atc.translate_range(
+                        work.pasid, va, nbytes
+                    )
+                    translate_ns = max(translate_ns, latency)
+                    total_faults += faults
+            else:
+                fault_offset = None
+                fault_va = None
+                for _buffer, va, nbytes in operands:
+                    latency, faults, first_fault = device.atc.translate_range_partial(
+                        work.pasid, va, nbytes
+                    )
+                    translate_ns = max(translate_ns, latency)
+                    if faults:
+                        offset = min(nbytes, max(0, first_fault - va))
+                        if fault_offset is None or offset < fault_offset:
+                            fault_offset = offset
+                            fault_va = first_fault
+                if fault_offset is not None:
+                    self.fault_offset = fault_offset
+                    self.fault_va = fault_va
+                    translated = self._fault_translated
+            self.faults = total_faults
+            translate_ns += ats_ns
+            if translate_ns:
+                env.timeout(translate_ns).callbacks.append(translated)
+                return
+            translated()
+        except BaseException:
+            self._fail()
+            raise
+
+    def _translated(self, _event: Optional[Event] = None) -> None:
+        pe = self.pe
+        device = pe.device
+        env = pe.env
+        work = self.work
+        try:
+            if self.remote_homes:
+                device.memsys.ats_release(self.remote_homes)
+            if self.traced:
+                tracer = env.tracer
+                agent, track = pe.agent, work.trace_track
+                tracer.end(
+                    env.now,
+                    "translate",
+                    "translate",
+                    agent,
+                    track,
+                    {"faults": self.faults} if self.faults else None,
+                )
+                tracer.begin(
+                    env.now,
+                    "execute",
+                    "execute",
+                    agent,
+                    track,
+                    {"opcode": work.opcode.name, "size": work.size},
+                )
+            if work.opcode is Opcode.CACHE_FLUSH:
+                env.timeout(work.size / device.timing.cache_flush_bandwidth).callbacks.append(
+                    self._stored
+                )
+                return
+            self._read()
+        except BaseException:
+            self._fail()
+            raise
+
+    def _fault_translated(self, _event: Optional[Event] = None) -> None:
+        """BOF=0 page fault: finish the head, report partial completion.
+
+        The engine has moved ``fault_offset`` bytes when the faulting
+        page's translation comes back unserviced; it writes a completion
+        record with ``PAGE_FAULT``, ``bytes_completed`` up to the fault,
+        and the faulting address, then moves on — fault resolution is
+        software's job (paper §4.3: touch the page, resubmit the rest).
+        """
+        pe = self.pe
+        env = pe.env
+        work = self.work
+        tracer = env.tracer
+        agent, track = pe.agent, work.trace_track
+        fault_offset = self.fault_offset
+        try:
+            if self.traced:
+                tracer.instant(
+                    env.now, "page_fault", "translate", agent, track, {"va": self.fault_va}
+                )
+                tracer.end(env.now, "translate", "translate", agent, track)
+            if fault_offset > 0:
+                # Move the completed head through the normal data path.
+                demand = self.demand
+                self.demand = IoDemand(
+                    reads=[(b, va, min(n, fault_offset)) for b, va, n in demand.reads],
+                    writes=[(b, va, min(n, fault_offset)) for b, va, n in demand.writes],
+                )
+                if self.traced:
+                    tracer.begin(
+                        env.now, "execute", "execute", agent, track,
+                        {"opcode": work.opcode.name, "partial": fault_offset},
+                    )
+                self._read()
+            else:
+                self._fault_record()
+        except BaseException:
+            self._fail()
+            raise
+
+    def _read(self) -> None:
+        """Source access latency (critical path, once per descriptor)."""
+        device = self.pe.device
+        read_ns = 0.0
+        for buffer, _va, _nbytes in self.demand.reads:
+            read_ns = max(
+                read_ns,
+                device.memsys.read_latency(buffer.node, device.socket, in_llc=buffer.in_llc),
+            )
+        if read_ns:
+            self.pe.env.timeout(read_ns).callbacks.append(self._stream)
+        else:
+            self._stream()
+
+    def _stream(self, _event: Optional[Event] = None) -> None:
+        try:
+            flows, self.write_tail = self.pe._build_flows(self.work, self.demand)
+            if flows:
+                self.pe.env.all_of(flows).callbacks.append(self._write)
+            else:
+                self._write()
+        except BaseException:
+            self._fail()
+            raise
+
+    def _write(self, _event: Optional[Event] = None) -> None:
+        try:
+            if self.write_tail:
+                self.pe.env.timeout(self.write_tail).callbacks.append(self._stored)
+            else:
+                self._stored()
+        except BaseException:
+            self._fail()
+            raise
+
+    def _stored(self, _event: Optional[Event] = None) -> None:
+        """The data (or a BOF=0 head) has landed: run the byte operation."""
+        pe = self.pe
+        env = pe.env
+        work = self.work
+        fault_offset = self.fault_offset
+        try:
+            if fault_offset is None:
+                pe._finish_functional(work, self.space, self.operands)
+                env.timeout(pe.device.timing.completion_write_ns).callbacks.append(
+                    self._written
+                )
+                return
+            if work.opcode in RESUMABLE_OPCODES and _all_backed(self.operands):
+                functional.execute(work.clone_range(0, fault_offset), self.space)
+            if self.traced:
+                env.tracer.end(env.now, "execute", "execute", pe.agent, work.trace_track)
+            self._fault_record()
+        except BaseException:
+            self._fail()
+            raise
+
+    def _fault_record(self) -> None:
+        device = self.pe.device
+        env = self.pe.env
+        completion = self.work.completion
+        completion.status = StatusCode.PAGE_FAULT
+        completion.bytes_completed = self.fault_offset
+        completion.fault_address = self.fault_va
+        env.metrics.counter(f"{device.name}.partial_completions").add()
+        env.timeout(device.timing.completion_write_ns).callbacks.append(self._fault_written)
+
+    def _written(self, _event: Event) -> None:
+        pe = self.pe
+        env = pe.env
+        work = self.work
+        try:
+            work.times.completed = env.now
+            if self.traced:
+                env.tracer.end(
+                    env.now,
+                    "execute",
+                    "execute",
+                    pe.agent,
+                    work.trace_track,
+                    None
+                    if work.opcode is Opcode.CACHE_FLUSH
+                    else {"status": work.completion.status.name},
+                )
+            pe.device._complete(work)
+            self.retire()
+        except BaseException:
+            self._fail()
+            raise
+
+    def _fault_written(self, _event: Event) -> None:
+        """Completion record of an unmapped-address or BOF=0 fault written."""
+        device = self.pe.device
+        work = self.work
+        try:
+            work.times.completed = self.pe.env.now
+            device._complete(work)
+            if self.remote_homes:
+                device.memsys.ats_release(self.remote_homes)
+            self.retire()
+        except BaseException:
+            self._fail()
+            raise

@@ -27,6 +27,16 @@ from repro.runtime.submit import prepare_descriptor, submit
 from repro.runtime.wait import WaitMode, wait_for
 from repro.sim.engine import Environment
 
+#: ``make_descriptor``'s flags by ``(block_on_fault, cache_control)``,
+#: built at import so no descriptor pays for ``IntFlag`` arithmetic.
+_DESCRIPTOR_FLAGS = {
+    (block_on_fault, cache_control): DescriptorFlags.REQUEST_COMPLETION
+    | (DescriptorFlags.BLOCK_ON_FAULT if block_on_fault else DescriptorFlags.NONE)
+    | (DescriptorFlags.CACHE_CONTROL if cache_control else DescriptorFlags.NONE)
+    for block_on_fault in (False, True)
+    for cache_control in (False, True)
+}
+
 
 class DmlPath(enum.Enum):
     """Execution-path request, mirroring DML's path selector."""
@@ -108,11 +118,7 @@ class Dml:
         software resumes (see :mod:`repro.runtime.recovery`), instead
         of stalling the engine for the fault-service time (§4.3).
         """
-        flags = DescriptorFlags.REQUEST_COMPLETION
-        if block_on_fault:
-            flags |= DescriptorFlags.BLOCK_ON_FAULT
-        if cache_control:
-            flags |= DescriptorFlags.CACHE_CONTROL
+        flags = _DESCRIPTOR_FLAGS[bool(block_on_fault), bool(cache_control)]
         pasid = 0
         for buffer in (src, src2, dst, dst2):
             if buffer is not None:

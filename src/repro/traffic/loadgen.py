@@ -30,6 +30,7 @@ batching) are draw-for-draw identical.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.cpu.swlib import SoftwareKernels
@@ -144,6 +145,155 @@ class _TenantState:
         self.wq = None
         #: Submitter socket under fleet placement (NUMA-aware policies).
         self.socket = 0
+
+
+class _DsaRequest:
+    """One open-loop DSA request, driven by event callbacks.
+
+    Placement, ENQCMD attempts with capped exponential backoff, the
+    completion wait and (under fleet placement) failover to a surviving
+    device.  Each stage pushes the calendar entry a generator yielding
+    the same event would push, and hangs the next stage on it.
+    """
+
+    __slots__ = (
+        "gen",
+        "state",
+        "arrived",
+        "size",
+        "descriptor",
+        "attempts",
+        "failed_device",
+        "device",
+        "wq_id",
+        "wq",
+    )
+
+    def __init__(self, gen: "LoadGenerator", state: _TenantState, arrived: float):
+        self.gen = gen
+        self.state = state
+        self.arrived = arrived
+
+    def start(self, _event: Event) -> None:
+        gen = self.gen
+        state = self.state
+        spec = state.spec
+        gen.accountant.offered(spec.name, self.arrived)
+        self.size = state.sizes.next()
+        descriptor = state.pool.acquire()
+        if descriptor is None:
+            descriptor = WorkDescriptor(opcode=spec.opcode)
+        descriptor.opcode = spec.opcode
+        descriptor.pasid = gen.space.pasid
+        descriptor.src = state.src.va
+        descriptor.dst = state.dst.va
+        descriptor.size = self.size
+        self.descriptor = descriptor
+        self.attempts = 0
+        self.failed_device = None
+        self._place()
+
+    def _place(self) -> None:
+        gen = self.gen
+        state = self.state
+        scheduler = gen.scheduler
+        if scheduler is not None and state.device is None:
+            env = gen.platform.env
+            failed_device = self.failed_device
+            try:
+                portal = scheduler.select(
+                    socket=state.socket,
+                    exclude=(failed_device,) if failed_device else (),
+                )
+            except RuntimeError:
+                # Fleet-wide device loss: nothing live to place on.
+                env.metrics.counter("traffic.fleet.no_live_portal").add()
+                if failed_device is not None:
+                    scheduler.record_failover(failed_device, None)
+                self._drop()
+                return
+            if failed_device is not None:
+                scheduler.record_failover(failed_device, portal.device.name)
+                env.metrics.counter("traffic.fleet.reroutes").add()
+                self.failed_device = None
+            device = portal.device
+            wq_id = portal.wq_id
+        else:
+            device = state.device
+            wq_id = state.spec.wq_id
+        self.device = device
+        self.wq_id = wq_id
+        self.wq = device.wq(wq_id)
+        self._enqcmd()
+
+    def _enqcmd(self, _event: Optional[Event] = None) -> None:
+        # Each attempt pays the full non-posted ENQCMD round trip.
+        env = self.gen.platform.env
+        env.timeout(self.device.timing.enqcmd_ns).callbacks.append(self._submit)
+
+    def _submit(self, _event: Event) -> None:
+        spec = self.state.spec
+        if self.device.submit(self.descriptor, self.wq_id, source=spec.name):
+            if self.attempts:
+                self.wq.record_retries(self.attempts, source=spec.name)
+            self.descriptor.completion_event.callbacks.append(self._completed)
+            return
+        self.attempts += 1
+        attempts = self.attempts
+        if attempts > spec.max_retries:
+            # Retry budget exhausted: shed the request.  The retries
+            # still hit the WQ's attribution counters — congestion
+            # must not vanish from the metrics when it sheds load.
+            self.wq.record_retries(attempts, source=spec.name)
+            self._drop()
+            return
+        env = self.gen.platform.env
+        env.timeout(
+            min(spec.backoff_base_ns * (2.0 ** (attempts - 1)), spec.backoff_cap_ns)
+        ).callbacks.append(self._enqcmd)
+
+    def _completed(self, _event: Event) -> None:
+        gen = self.gen
+        state = self.state
+        spec = state.spec
+        descriptor = self.descriptor
+        status = descriptor.completion.status
+        if status.is_success:
+            now = gen.platform.env.now
+            gen.accountant.completed(
+                spec.name, now, now - self.arrived, self.size, retries=self.attempts
+            )
+            state.pool.release(descriptor)
+            return
+        # The device failed the request (DEVICE_DISABLED from a
+        # driver disable or reset window).  Under fleet placement a
+        # disabled device triggers failover: re-place on a survivor
+        # within the tenant's retry budget.  Without a scheduler
+        # there is nowhere else to go — the request is dropped, not
+        # silently counted as completed.
+        self.attempts += 1
+        if (
+            gen.scheduler is None
+            or state.device is not None
+            or status is not StatusCode.DEVICE_DISABLED
+            or self.attempts > spec.max_retries
+        ):
+            self._drop()
+            return
+        self.failed_device = self.device.name
+        # Scrub the consumed completion so resubmission gets a fresh
+        # completion event on the surviving device.
+        descriptor.completion_event = None
+        descriptor.completion.status = StatusCode.NONE
+        descriptor.completion.bytes_completed = 0
+        self._place()
+
+    def _drop(self) -> None:
+        state = self.state
+        self.gen.accountant.dropped(
+            state.spec.name, self.gen.platform.env.now, retries=self.attempts
+        )
+        state.pool.release(self.descriptor)
 
 
 class LoadGenerator:
@@ -293,9 +443,8 @@ class LoadGenerator:
                 self._cpu_arrival(state, now)
         else:
             def on_arrival(index: int, now: float) -> None:
-                env.process(
-                    self._dsa_request(state, now), name=f"req.{state.spec.name}"
-                )
+                # Boot entry: the request starts when this pops.
+                env.timeout(0.0).callbacks.append(_DsaRequest(self, state, now).start)
         return on_arrival
 
     # -- CPU completion path ----------------------------------------------
@@ -308,111 +457,13 @@ class LoadGenerator:
         if done is None:
             acct.dropped(spec.name, now)
             return
-        self.platform.env.process(
-            self._cpu_wait(spec, now, size, done), name=f"req.{spec.name}"
-        )
+        # ``done`` triggers only after a worker's service timeout pops,
+        # so the accounting can hang straight off it.
+        done.callbacks.append(partial(self._cpu_done, spec.name, now, size))
 
-    def _cpu_wait(self, spec: TenantSpec, arrived: float, size: int, done: Event):
-        finished = yield done
-        self.accountant.completed(spec.name, finished, finished - arrived, size)
-
-    # -- DSA completion path ----------------------------------------------
-    def _dsa_request(self, state: _TenantState, arrived: float):
-        env = self.platform.env
-        spec = state.spec
-        acct = self.accountant
-        acct.offered(spec.name, arrived)
-        size = state.sizes.next()
-        descriptor = state.pool.acquire()
-        if descriptor is None:
-            descriptor = WorkDescriptor(opcode=spec.opcode)
-        descriptor.opcode = spec.opcode
-        descriptor.pasid = self.space.pasid
-        descriptor.src = state.src.va
-        descriptor.dst = state.dst.va
-        descriptor.size = size
-        attempts = 0
-        failed_device: Optional[str] = None
-        while True:
-            if self.scheduler is not None and state.device is None:
-                try:
-                    portal = self.scheduler.select(
-                        socket=state.socket,
-                        exclude=(failed_device,) if failed_device else (),
-                    )
-                except RuntimeError:
-                    # Fleet-wide device loss: nothing live to place on.
-                    env.metrics.counter("traffic.fleet.no_live_portal").add()
-                    if failed_device is not None:
-                        self.scheduler.record_failover(failed_device, None)
-                    acct.dropped(spec.name, env.now, retries=attempts)
-                    state.pool.release(descriptor)
-                    return
-                if failed_device is not None:
-                    self.scheduler.record_failover(
-                        failed_device, portal.device.name
-                    )
-                    env.metrics.counter("traffic.fleet.reroutes").add()
-                    failed_device = None
-                device = portal.device
-                wq_id = portal.wq_id
-            else:
-                device = state.device
-                wq_id = spec.wq_id
-            wq = device.wq(wq_id)
-            enqcmd_ns = device.timing.enqcmd_ns
-            while True:
-                # Each attempt pays the full non-posted ENQCMD round trip.
-                yield env.timeout(enqcmd_ns)
-                if device.submit(descriptor, wq_id, source=spec.name):
-                    break
-                attempts += 1
-                if attempts > spec.max_retries:
-                    # Retry budget exhausted: shed the request.  The retries
-                    # still hit the WQ's attribution counters — congestion
-                    # must not vanish from the metrics when it sheds load.
-                    wq.record_retries(attempts, source=spec.name)
-                    acct.dropped(spec.name, env.now, retries=attempts)
-                    state.pool.release(descriptor)
-                    return
-                yield env.timeout(
-                    min(
-                        spec.backoff_base_ns * (2.0 ** (attempts - 1)),
-                        spec.backoff_cap_ns,
-                    )
-                )
-            if attempts:
-                wq.record_retries(attempts, source=spec.name)
-            yield descriptor.completion_event
-            status = descriptor.completion.status
-            if status.is_success:
-                acct.completed(
-                    spec.name, env.now, env.now - arrived, size, retries=attempts
-                )
-                state.pool.release(descriptor)
-                return
-            # The device failed the request (DEVICE_DISABLED from a
-            # driver disable or reset window).  Under fleet placement a
-            # disabled device triggers failover: re-place on a survivor
-            # within the tenant's retry budget.  Without a scheduler
-            # there is nowhere else to go — the request is dropped, not
-            # silently counted as completed.
-            attempts += 1
-            if (
-                self.scheduler is None
-                or state.device is not None
-                or status is not StatusCode.DEVICE_DISABLED
-                or attempts > spec.max_retries
-            ):
-                acct.dropped(spec.name, env.now, retries=attempts)
-                state.pool.release(descriptor)
-                return
-            failed_device = device.name
-            # Scrub the consumed completion so resubmission gets a fresh
-            # completion event on the surviving device.
-            descriptor.completion_event = None
-            descriptor.completion.status = StatusCode.NONE
-            descriptor.completion.bytes_completed = 0
+    def _cpu_done(self, tenant: str, arrived: float, size: int, done: Event) -> None:
+        finished = done.value
+        self.accountant.completed(tenant, finished, finished - arrived, size)
 
     # -- results ----------------------------------------------------------
     def finalize(self) -> Dict[str, int]:

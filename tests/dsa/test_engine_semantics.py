@@ -1,8 +1,10 @@
 """Engine-level semantics: drain, fence, cache control, SVM sharing."""
 
 import numpy as np
+import pytest
 
 from repro.dsa.config import DeviceConfig, WqMode
+from repro.dsa import ops
 from repro.dsa.descriptor import BatchDescriptor, WorkDescriptor
 from repro.dsa.errors import StatusCode
 from repro.dsa.opcodes import DescriptorFlags, Opcode
@@ -183,3 +185,45 @@ class TestInterruptCompletion:
             MicrobenchConfig(transfer_size=16 * KB, queue_depth=1, iterations=20)
         )
         assert result.elapsed_ns > spin.elapsed_ns
+
+
+class ModelBug(Exception):
+    pass
+
+
+class TestModelErrors:
+    """An exception raised inside a data phase surfaces from ``env.run()``."""
+
+    @pytest.mark.parametrize(
+        "flags, fault_page",
+        [
+            (DescriptorFlags.REQUEST_COMPLETION | DescriptorFlags.BLOCK_ON_FAULT, None),
+            (DescriptorFlags.REQUEST_COMPLETION, 2),  # BOF=0 partial head
+        ],
+        ids=["full", "partial_head"],
+    )
+    def test_execute_error_surfaces_and_frees_the_read_buffer(
+        self, monkeypatch, flags, fault_page
+    ):
+        from repro.faults.inject import injection
+        from repro.faults.plan import FaultPlan
+
+        platform = spr_platform()
+        device = platform.driver.device("dsa0")
+        space = AddressSpace()
+        device.attach_space(space)
+        descriptor, src, _dst = make_copy(space, size=16 * KB, flags=flags, backed=True)
+        src.data[:] = 7
+
+        def broken(work, space):
+            raise ModelBug(work.size)
+
+        monkeypatch.setattr(ops, "execute", broken)
+        scripted = () if fault_page is None else (src.va + fault_page * 4 * KB,)
+        device.submit(descriptor)
+        with injection(FaultPlan(seed=1, scripted_vas=scripted)):
+            with pytest.raises(ModelBug):
+                platform.env.run()
+        (engine,) = [pe for group in device.groups.values() for pe in group.engines]
+        assert engine.read_buffers.in_use == 0
+        assert descriptor.completion.status == StatusCode.NONE

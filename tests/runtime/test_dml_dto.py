@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dsa.errors import StatusCode
-from repro.dsa.opcodes import Opcode
+from repro.dsa.opcodes import DescriptorFlags, Opcode
 from repro.mem import AddressSpace
 from repro.platform import spr_platform
 from repro.runtime.dml import Dml, DmlPath
@@ -29,6 +29,30 @@ def build_stack(backed=False, n_portals=1, auto_threshold=4096):
         auto_threshold=auto_threshold,
     )
     return platform, space, dml
+
+
+@pytest.mark.parametrize("block_on_fault", [False, True])
+@pytest.mark.parametrize("cache_control", [False, True])
+def test_descriptor_flags_table_matches_flag_arithmetic(block_on_fault, cache_control):
+    expected = DescriptorFlags.REQUEST_COMPLETION
+    if block_on_fault:
+        expected |= DescriptorFlags.BLOCK_ON_FAULT
+    if cache_control:
+        expected |= DescriptorFlags.CACHE_CONTROL
+    _platform, space, dml = build_stack()
+    src, dst = space.allocate(KB), space.allocate(KB)
+    descriptor = dml.make_descriptor(
+        Opcode.MEMMOVE,
+        KB,
+        src=src,
+        dst=dst,
+        cache_control=cache_control,
+        block_on_fault=block_on_fault,
+    )
+    assert descriptor.flags == expected
+    assert type(descriptor.flags) is DescriptorFlags
+    assert descriptor.block_on_fault is block_on_fault
+    assert descriptor.cache_control is cache_control
 
 
 def run_call(platform, generator):
