@@ -55,24 +55,20 @@ class IoDemand:
     reads: List[Tuple[Buffer, int, int]] = field(default_factory=list)
     writes: List[Tuple[Buffer, int, int]] = field(default_factory=list)
 
-    @property
-    def read_bytes(self) -> int:
-        return sum(nbytes for _buf, _va, nbytes in self.reads)
-
-    @property
-    def write_bytes(self) -> int:
-        return sum(nbytes for _buf, _va, nbytes in self.writes)
-
-    @property
-    def port_bytes(self) -> int:
-        """Fabric demand: the larger of the two directions."""
-        return max(self.read_bytes, self.write_bytes)
-
 
 def io_demand(work: WorkDescriptor, space: AddressSpace) -> IoDemand:
     """Resolve a descriptor's buffers and compute its byte movement."""
-    demand = IoDemand()
     op, size = work.opcode, work.size
+    if op is Opcode.MEMMOVE or op is Opcode.COPY_CRC:
+        # The common case, without the closures below.
+        if size <= 0:
+            return IoDemand()
+        src, dst = work.src, work.dst
+        return IoDemand(
+            reads=[(space.buffer_at(src), src, size)],
+            writes=[(space.buffer_at(dst), dst, size)],
+        )
+    demand = IoDemand()
 
     def read(va: int, nbytes: int) -> None:
         if nbytes > 0:
@@ -84,10 +80,7 @@ def io_demand(work: WorkDescriptor, space: AddressSpace) -> IoDemand:
 
     if op in (Opcode.NOOP, Opcode.DRAIN, Opcode.CACHE_FLUSH):
         return demand
-    if op in (Opcode.MEMMOVE, Opcode.COPY_CRC):
-        read(work.src, size)
-        write(work.dst, size)
-    elif op is Opcode.DUALCAST:
+    if op is Opcode.DUALCAST:
         read(work.src, size)
         write(work.dst, size)
         write(work.dst2, size)
@@ -128,8 +121,11 @@ class ProcessingEngine:
     on that event's callbacks.  The entries, and the order they are
     pushed in, are those a generator yielding the same events would
     push, so the calendar pops in the same order (docs/PERFORMANCE.md
-    §9).  The serial stage handles one descriptor at a time, so its
-    state lives on the engine; each data phase is a :class:`_DataPhase`.
+    §9).  The data phase's bandwidth flows report through the links'
+    callback form and the phase counts them itself, pushing the entry
+    an ``all_of`` over them would have (§10).  The serial stage handles
+    one descriptor at a time, so its state lives on the engine; each
+    data phase is a :class:`_DataPhase`.
     """
 
     def __init__(self, device: "DsaDevice", group: "Group", engine_id: int):
@@ -145,6 +141,8 @@ class ProcessingEngine:
         self._inflight: Dict[_DataPhase, None] = {}
         self.agent = f"{device.name}.pe{engine_id}"
         self._m_data_phases = self.env.metrics.counter(f"{self.agent}.data_phases")
+        #: Destination node -> (is DRAM, UPI hop) for DDIO-path writes.
+        self._ddio_routes: Dict[int, Tuple[bool, float]] = {}
         # Serial-stage state: the descriptor the arbiter delivered, the
         # work descriptor in setup, and a batch's remaining members and
         # admitted data phases' exit events.
@@ -338,24 +336,35 @@ class ProcessingEngine:
             self._batch_events.append(phase.exit_event())
         self._serial_done()
 
-    def _build_flows(self, work: WorkDescriptor, demand: IoDemand):
-        """Create the bandwidth flows for one descriptor's data."""
+    def _build_flows(self, work: WorkDescriptor, demand: IoDemand, callback):
+        """Start the bandwidth flows for one descriptor's data.
+
+        Each flow reports to ``callback`` when it drains (see
+        :meth:`FairShareLink.transfer`).  Returns ``(flows started,
+        write tail)``.
+        """
         device = self.device
         env = self.env
         memsys = device.memsys
         llc = memsys.llc
-        flows: List[Event] = []
-        port_bytes = float(demand.port_bytes)
+        socket = device.socket
+        flows = 0
         write_tail = 0.0
 
+        read_bytes = 0
         read_nodes = set()
         for buffer, _va, nbytes in demand.reads:
+            read_bytes += nbytes
             if buffer.in_llc:
                 continue  # LLC sources don't touch the memory links
             read_nodes.add(buffer.node)
-            flows.append(memsys.read_flow(buffer.node, nbytes, device.socket))
+            memsys.read_flow(buffer.node, nbytes, socket, callback)
+            flows += 1
 
+        write_bytes = 0
+        leaked: Optional[List[int]] = None
         for buffer, _va, nbytes in demand.writes:
+            write_bytes += nbytes
             if work.cache_control or buffer.in_llc:
                 # G3: allocate the destination into the LLC directly.
                 llc.touch(device.agent, nbytes, io=False, now=env.now)
@@ -363,13 +372,16 @@ class ProcessingEngine:
             elif llc.leaky:
                 # Leaky-DMA regime: writes spill to DRAM and the write
                 # path stalls the engine (Fig 10's per-device drop).
-                port_bytes += nbytes * (device.timing.leaky_write_amplification - 1.0)
-                flows.append(memsys.write_flow(buffer.node, nbytes, device.socket))
+                if leaked is None:
+                    leaked = []
+                leaked.append(nbytes)
+                memsys.write_flow(buffer.node, nbytes, socket, callback)
+                flows += 1
                 write_tail = max(
                     write_tail,
                     memsys.write_latency(
                         buffer.node,
-                        device.socket,
+                        socket,
                         same_node_as_read=buffer.node in read_nodes,
                     ),
                 )
@@ -378,19 +390,32 @@ class ProcessingEngine:
                 # Non-DRAM destinations (CXL, PMEM) must still reach
                 # their medium, so their write links throttle the flow.
                 llc.touch(device.agent, nbytes, io=True, now=env.now)
-                node = memsys.node(buffer.node)
-                if node.kind is not TierKind.DRAM:
-                    flows.append(memsys.write_flow(buffer.node, nbytes, device.socket))
-                    write_tail = max(
-                        write_tail, memsys.write_latency(buffer.node, device.socket)
+                route = self._ddio_routes.get(buffer.node)
+                if route is None:
+                    hop, _remote = memsys.topology.crossing_cost(socket, buffer.node)
+                    route = self._ddio_routes[buffer.node] = (
+                        memsys.node(buffer.node).kind is TierKind.DRAM,
+                        hop,
                     )
+                is_dram, hop = route
+                if not is_dram:
+                    memsys.write_flow(buffer.node, nbytes, socket, callback)
+                    flows += 1
+                    write_tail = max(write_tail, memsys.write_latency(buffer.node, socket))
                 else:
                     penalty = SAME_NODE_TURNAROUND_NS if buffer.node in read_nodes else 0.0
-                    hop, _remote = memsys.topology.crossing_cost(device.socket, buffer.node)
                     write_tail = max(write_tail, llc.write_latency + penalty + hop)
 
+        # Fabric demand: the larger of the two directions, plus the
+        # leaked writes' amplification, added in write order.
+        port_bytes = float(max(read_bytes, write_bytes))
+        if leaked is not None:
+            amplification = device.timing.leaky_write_amplification - 1.0
+            for nbytes in leaked:
+                port_bytes += nbytes * amplification
         if port_bytes > 0:
-            flows.append(device.port.transfer(port_bytes, weight=work.dispatch_weight))
+            device.port.transfer(port_bytes, weight=work.dispatch_weight, callback=callback)
+            flows += 1
         return flows, write_tail
 
     def _finish_functional(
@@ -428,6 +453,7 @@ class _DataPhase:
         "faults",
         "fault_offset",
         "fault_va",
+        "pending",
         "write_tail",
         "exit",
     )
@@ -644,14 +670,24 @@ class _DataPhase:
 
     def _stream(self, _event: Optional[Event] = None) -> None:
         try:
-            flows, self.write_tail = self.pe._build_flows(self.work, self.demand)
-            if flows:
-                self.pe.env.all_of(flows).callbacks.append(self._write)
-            else:
+            self.pending, self.write_tail = self.pe._build_flows(
+                self.work, self.demand, self._flow_done
+            )
+            if not self.pending:
                 self._write()
         except BaseException:
             self._fail()
             raise
+
+    def _flow_done(self, _event: Event) -> None:
+        """One flow drained; after the last, the write tail starts.
+
+        Counts what an ``all_of`` over the flows counted, and pushes
+        the zero-delay entry it pushed when it succeeded.
+        """
+        self.pending -= 1
+        if not self.pending:
+            self.pe.env.timeout(0.0).callbacks.append(self._write)
 
     def _write(self, _event: Optional[Event] = None) -> None:
         try:

@@ -5,7 +5,9 @@ fabric port, DRAM node, UPI link, CXL port) shared by concurrent flows
 using generalized processor sharing: at any instant, each active flow
 progresses proportionally to its weight.  Callers ask for
 ``transfer(nbytes)`` and receive an event that triggers when the flow's
-bytes have drained.
+bytes have drained — or pass ``callback=`` and have the callback run
+from a zero-delay timeout pushed at that instant, which is the same
+calendar entry without an Event per flow.
 
 Propagation latency is *not* part of the link — callers model latency
 with explicit timeouts so that pipelined (throughput) and un-pipelined
@@ -36,21 +38,35 @@ link drains idle.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.sim.engine import Environment, Event, Timeout
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 #: Residual-byte tolerance when deciding a flow has drained.
 _EPSILON = 1e-6
 
 
 class _Flow:
-    __slots__ = ("size", "weight", "event", "seq", "vfinish", "remaining", "rate")
+    __slots__ = (
+        "size", "weight", "event", "callback", "seq", "vfinish", "remaining", "rate"
+    )
 
-    def __init__(self, nbytes: float, event: Event, weight: float):
+    def __init__(
+        self,
+        nbytes: float,
+        weight: float,
+        event: Optional[Event],
+        callback: Optional[Callable[[Event], None]],
+    ):
         self.size = float(nbytes)
         self.weight = weight
+        # Exactly one of the two is set: the Event a caller waits on, or
+        # the callback a zero-delay timeout carries once the flow drains.
         self.event = event
+        self.callback = callback
         self.seq = 0  # link-local join order (deterministic ties)
         self.vfinish = 0.0  # virtual-time mode: finish tag
         self.remaining = 0.0  # water-filling mode: bytes left
@@ -88,11 +104,15 @@ class FairShareLink:
         self._W = 0.0  # total active weight
         self._n = 0
         self._uniform_weight: Optional[float] = None
+        #: per_flow_cap / uniform weight: the cap on dV/dt (None: no cap).
+        self._vcap: Optional[float] = None
         # Water-filling state (engaged only for mixed weights + cap).
         self._wf_flows: Optional[List[_Flow]] = None
-        # Single wake timer, cancelled and re-armed on churn.
+        # Single wake timer, cancelled and re-armed on churn; its
+        # callback is bound once, not per arm.
         self._timer: Optional[Timeout] = None
         self._timer_at = 0.0
+        self._wake = self._step
 
     # -- public surface --------------------------------------------------
     @property
@@ -157,8 +177,20 @@ class FairShareLink:
             rate = min(rate, self.per_flow_cap)
         return rate
 
-    def transfer(self, nbytes: float, weight: float = 1.0) -> Event:
-        """Start a flow of ``nbytes``; returns the completion event.
+    def transfer(
+        self,
+        nbytes: float,
+        weight: float = 1.0,
+        callback: Optional[Callable[[Event], None]] = None,
+    ) -> Optional[Event]:
+        """Start a flow of ``nbytes``.
+
+        Without ``callback``, returns an event that triggers when the
+        flow's bytes have drained.  With ``callback``, returns None and,
+        at the drain instant, pushes a zero-delay timeout carrying
+        ``callback`` — the calendar entry ``Event.succeed()`` would have
+        pushed, minus the Event (and any Condition) a caller that only
+        counts completions does not need.
 
         ``weight`` sets the flow's share under contention (weighted
         fair sharing — the QoS/traffic-class knob of §3.4): a flow of
@@ -171,110 +203,131 @@ class FairShareLink:
             raise ValueError(f"negative transfer size: {nbytes}")
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
-        event = Event(self.env)
+        event = Event(self.env) if callback is None else None
+        flow = _Flow(nbytes, weight, event, callback)
         if nbytes == 0:
-            event.succeed()
-            return event
-        flow = _Flow(nbytes, event, weight)
-        self._sync()
-        if (
-            self._wf_flows is None
-            and self.per_flow_cap is not None
-            and self._n
-            and weight != self._uniform_weight
-        ):
-            self._enter_waterfill()
-        if self._wf_flows is not None:
-            self._seq += 1
-            flow.seq = self._seq
-            flow.remaining = flow.size
-            self._wf_flows.append(flow)
-            self._wf_rearm()
+            self._finish(flow)
         else:
-            if self._n == 0:
-                self._V = 0.0
-                self._W = 0.0
-                self._uniform_weight = weight
-            flow.vfinish = self._V + flow.size / weight
-            self._seq += 1
-            flow.seq = self._seq
-            heapq.heappush(self._vheap, (flow.vfinish, flow.seq, flow))
-            self._W += weight
-            self._n += 1
-            self._rearm()
+            self._step(None, flow)
         return event
 
     def time_to_transfer(self, nbytes: float) -> float:
         """Uncontended duration for ``nbytes`` (planning helper)."""
         return nbytes / self.bandwidth
 
-    # -- virtual-time fast path ------------------------------------------
-    def _vrate(self) -> float:
-        """dV/dt: service per unit weight delivered to each active flow."""
-        rate = self.bandwidth / self._W
-        if self.per_flow_cap is not None:
-            # Weights are uniform on this path, so the cap either binds
-            # for every flow or for none.
-            capped = self.per_flow_cap / self._uniform_weight
-            if capped < rate:
-                return capped
-        return rate
+    # -- the one join/wake path -------------------------------------------
+    def _step(self, timer: Optional[Event] = None, flow: Optional[_Flow] = None) -> None:
+        """Advance to ``env.now``, finish drained flows, admit ``flow``,
+        and point the single wake timer at the earliest finish.
 
-    def _sync(self) -> None:
-        """Advance to ``env.now`` and complete drained flows."""
+        This is both the wake timer's callback (``timer`` is the fired
+        timer) and the whole of a join (``flow`` is the new flow).  The
+        virtual-time path is inlined — the service rate, the drain loop
+        and the re-arm, on local copies of ``V``, ``W`` and ``n`` — so a
+        join or a wake costs one call.
+        """
+        env = self.env
+        now = env._now
+        if timer is not None:
+            self._timer = None
         if self._wf_flows is not None:
-            self._wf_sync()
-            return
-        now = self.env.now
-        if self._n:
-            elapsed = now - self._last_update
-            if elapsed > 0:
-                self._V += elapsed * self._vrate()
-        self._last_update = now
-        heap = self._vheap
-        v_now = self._V
-        while heap and (heap[0][0] - v_now) * heap[0][2].weight <= _EPSILON:
-            _tag, _seq, flow = heapq.heappop(heap)
-            self._W -= flow.weight
-            self._n -= 1
-            self.bytes_completed += flow.size
-            flow.event.succeed()
-        if self._n == 0:
-            self._V = 0.0
-            self._W = 0.0
-            self._uniform_weight = None
+            self._wf_sync(now)  # may drain idle and return to virtual time
+        if self._wf_flows is not None:
+            if flow is not None:
+                self._wf_admit(flow)
+        else:
+            # n == 0 implies V == W == 0 and nothing to drain.
+            n = self._n
+            V = self._V
+            W = self._W
+            if n:
+                elapsed = now - self._last_update
+                if elapsed > 0:
+                    # dV/dt, the service per unit weight (see _vrate).
+                    rate = self.bandwidth / W
+                    capped = self._vcap
+                    if capped is not None and capped < rate:
+                        rate = capped
+                    V += elapsed * rate
+                heap = self._vheap
+                while heap and (heap[0][0] - V) * heap[0][2].weight <= _EPSILON:
+                    drained = _heappop(heap)[2]
+                    W -= drained.weight
+                    n -= 1
+                    self._finish(drained)
+                if n == 0:
+                    V = 0.0
+                    W = 0.0
+                    self._uniform_weight = self._vcap = None
+            self._last_update = now
+            if flow is not None:
+                weight = flow.weight
+                cap = self.per_flow_cap
+                if n and cap is not None and weight != self._uniform_weight:
+                    self._V, self._W, self._n = V, W, n
+                    self._enter_waterfill()
+                    self._wf_admit(flow)
+                else:
+                    if n == 0:
+                        self._uniform_weight = weight
+                        # Weights are uniform on this path, so the cap
+                        # binds for every flow or for none.
+                        self._vcap = None if cap is None else cap / weight
+                    self._seq = seq = self._seq + 1
+                    flow.seq = seq
+                    flow.vfinish = vfinish = V + flow.size / weight
+                    _heappush(self._vheap, (vfinish, seq, flow))
+                    W += weight
+                    n += 1
+            if self._wf_flows is None:
+                self._V, self._W, self._n = V, W, n
 
-    def _rearm(self) -> None:
-        """Point the single wake timer at the earliest finish."""
-        if not self._n:
+        flows = self._wf_flows
+        if flows is not None:
+            self._wf_rates()
+            delay = min(flow.remaining / flow.rate for flow in flows)
+        elif self._n:
+            rate = self.bandwidth / self._W
+            capped = self._vcap
+            if capped is not None and capped < rate:
+                rate = capped
+            delay = (self._vheap[0][0] - self._V) / rate
+        else:
             if self._timer is not None:
                 self._timer.cancel()
                 self._timer = None
             return
-        delay = (self._vheap[0][0] - self._V) / self._vrate()
-        when = self.env.now + delay
-        if self._timer is not None and not self._timer.processed:
-            if self._timer_at == when and not self._timer.cancelled:
+        when = now + delay
+        timer = self._timer
+        if timer is not None:
+            if self._timer_at == when:
                 return  # earliest finish unchanged — keep the timer
-            self._timer.cancel()
-        self._timer = self.env.timeout(delay)
+            timer.cancel()
+        self._timer = timer = env.timeout(delay)
         self._timer_at = when
-        self._timer.callbacks.append(self._wake)
+        timer.callbacks.append(self._wake)
 
-    def _wake(self, _event: Event) -> None:
-        self._timer = None
-        self._sync()
-        if self._wf_flows is not None:
-            self._wf_rearm()
+    def _finish(self, flow: _Flow) -> None:
+        """Count a drained flow and report it to its owner."""
+        self.bytes_completed += flow.size
+        if flow.callback is None:
+            flow.event.succeed()
         else:
-            self._rearm()
+            self.env.timeout(0.0).callbacks.append(flow.callback)
+
+    def _vrate(self) -> float:
+        """dV/dt: service per unit weight delivered to each active flow."""
+        rate = self.bandwidth / self._W
+        if self._vcap is not None and self._vcap < rate:
+            return self._vcap
+        return rate
 
     # -- water-filling slow path (mixed weights under a cap) -------------
     def _enter_waterfill(self) -> None:
         """Materialize per-flow byte counters and leave virtual time."""
         flows: List[_Flow] = []
         while self._vheap:
-            _tag, _seq, flow = heapq.heappop(self._vheap)
+            _tag, _seq, flow = _heappop(self._vheap)
             flow.remaining = (flow.vfinish - self._V) * flow.weight
             flows.append(flow)
         flows.sort(key=lambda flow: flow.seq)
@@ -282,7 +335,13 @@ class FairShareLink:
         self._V = 0.0
         self._W = 0.0
         self._n = 0
-        self._uniform_weight = None
+        self._uniform_weight = self._vcap = None
+
+    def _wf_admit(self, flow: _Flow) -> None:
+        self._seq += 1
+        flow.seq = self._seq
+        flow.remaining = flow.size
+        self._wf_flows.append(flow)
 
     def _wf_rates(self) -> None:
         """Water-filling under the uniform per-flow cap.
@@ -313,8 +372,8 @@ class FairShareLink:
             remaining_bw -= cap * n_capped
             active = uncapped
 
-    def _wf_sync(self) -> None:
-        now = self.env.now
+    def _wf_sync(self, now: float) -> None:
+        """Water-filling counterpart of the virtual-time drain in :meth:`_step`."""
         flows = self._wf_flows
         elapsed = now - self._last_update
         self._last_update = now
@@ -324,8 +383,7 @@ class FairShareLink:
         survivors: List[_Flow] = []
         for flow in flows:  # join order: oldest completes first
             if flow.remaining <= _EPSILON:
-                self.bytes_completed += flow.size
-                flow.event.succeed()
+                self._finish(flow)
             else:
                 survivors.append(flow)
         if survivors:
@@ -336,25 +394,7 @@ class FairShareLink:
             self._V = 0.0
             self._W = 0.0
             self._n = 0
-            self._uniform_weight = None
-
-    def _wf_rearm(self) -> None:
-        flows = self._wf_flows
-        if not flows:
-            if self._timer is not None:
-                self._timer.cancel()
-                self._timer = None
-            return
-        self._wf_rates()
-        delay = min(flow.remaining / flow.rate for flow in flows)
-        when = self.env.now + delay
-        if self._timer is not None and not self._timer.processed:
-            if self._timer_at == when and not self._timer.cancelled:
-                return
-            self._timer.cancel()
-        self._timer = self.env.timeout(delay)
-        self._timer_at = when
-        self._timer.callbacks.append(self._wake)
+            self._uniform_weight = self._vcap = None
 
 
 class SerialLink:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.mem.cache import SharedLLC
 from repro.mem.cxl import CxlMemoryParams
@@ -41,6 +41,32 @@ SAME_NODE_TURNAROUND_NS = 18.0
 #: socket shares that socket's IOMMU (paper §3.2: the DSA sits behind
 #: the host IOMMU), so concurrent remote-socket descriptors queue.
 ATS_SERIALIZE_NS = 12.0
+
+
+class _Join:
+    """Counts the legs of one multi-link flow; reports once, at the last.
+
+    Each leg's link pushes a zero-delay timeout carrying the join when
+    the leg drains.  The last one to pop succeeds the join's Event, or
+    pushes a zero-delay timeout carrying its ``callback``: the entry an
+    ``all_of`` over the legs pushed when it succeeded.
+    """
+
+    __slots__ = ("env", "pending", "event", "callback")
+
+    def __init__(self, env, pending, event, callback):
+        self.env = env
+        self.pending = pending
+        self.event = event
+        self.callback = callback
+
+    def __call__(self, _event: Event) -> None:
+        self.pending -= 1
+        if not self.pending:
+            if self.callback is None:
+                self.event.succeed()
+            else:
+                self.env.timeout(0.0).callbacks.append(self.callback)
 
 
 @dataclass
@@ -78,6 +104,9 @@ class MemorySystem:
         self.iommu.attach_metrics(env.metrics, prefix="mem.iommu")
         self._nodes: Dict[int, MemoryNode] = {}
         self._upi_links: Dict[int, FairShareLink] = {}
+        #: ``(node, from_socket, write)`` -> ``(byte counter, links)``,
+        #: resolved on first use (see :meth:`_route`).
+        self._routes: Dict[Tuple[int, int, bool], tuple] = {}
         #: Fleet platforms opt into the remote-translation cost model
         #: (see :meth:`ats_acquire`); off by default so single-socket
         #: and legacy multi-device setups keep their exact timings.
@@ -234,24 +263,64 @@ class MemorySystem:
             self._ats_inflight[home] = max(0, self._ats_inflight.get(home, 0) - 1)
 
     # -- bandwidth flows -------------------------------------------------------
-    def read_flow(self, node_id: int, nbytes: float, from_socket: int) -> Event:
-        """Stream ``nbytes`` out of a node (adds UPI flow when remote)."""
-        return self._flow(self.node(node_id), nbytes, from_socket, write=False)
+    def read_flow(
+        self,
+        node_id: int,
+        nbytes: float,
+        from_socket: int,
+        callback: Optional[Callable[[Event], None]] = None,
+    ) -> Optional[Event]:
+        """Stream ``nbytes`` out of a node (adds UPI flow when remote).
 
-    def write_flow(self, node_id: int, nbytes: float, from_socket: int) -> Event:
-        return self._flow(self.node(node_id), nbytes, from_socket, write=True)
+        Returns the completion event, or with ``callback`` reports the
+        way :meth:`FairShareLink.transfer` does and returns None.
+        """
+        return self._flow(node_id, nbytes, from_socket, False, callback)
 
-    def _flow(self, node: MemoryNode, nbytes: float, from_socket: int, write: bool) -> Event:
-        (node.wr_bytes if write else node.rd_bytes).add(nbytes)
-        link = node.write_link if write else node.read_link
-        flows = [link.transfer(nbytes)]
+    def write_flow(
+        self,
+        node_id: int,
+        nbytes: float,
+        from_socket: int,
+        callback: Optional[Callable[[Event], None]] = None,
+    ) -> Optional[Event]:
+        return self._flow(node_id, nbytes, from_socket, True, callback)
+
+    def _flow(
+        self,
+        node_id: int,
+        nbytes: float,
+        from_socket: int,
+        write: bool,
+        callback: Optional[Callable[[Event], None]],
+    ) -> Optional[Event]:
+        key = (node_id, from_socket, write)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._route(node_id, from_socket, write)
+        counter, links = route
+        counter.add(nbytes)
+        if len(links) == 1:
+            return links[0].transfer(nbytes, callback=callback)
+        # Every leg moves all the bytes; the flow is done when the
+        # slowest drains.
+        event = Event(self.env) if callback is None else None
+        join = _Join(self.env, len(links), event, callback)
+        for link in links:
+            link.transfer(nbytes, callback=join)
+        return event
+
+    def _route(self, node_id: int, from_socket: int, write: bool):
+        """``(byte counter, links)`` a flow crosses: the node's link, a
+        CXL device's internal bus, and the home socket's UPI link when
+        remote — fixed once the node is registered."""
+        node = self.node(node_id)
+        links = [node.write_link if write else node.read_link]
         if node.internal_link is not None:
-            flows.append(node.internal_link.transfer(nbytes))
-        if self.topology.is_remote(from_socket, node.node_id):
-            flows.append(self._upi_links[node.socket].transfer(nbytes))
-        if len(flows) == 1:
-            return flows[0]
-        return self.env.all_of(flows)
+            links.append(node.internal_link)
+        if self.topology.is_remote(from_socket, node_id):
+            links.append(self._upi_links[node.socket])
+        return (node.wr_bytes if write else node.rd_bytes), tuple(links)
 
     # -- presets ---------------------------------------------------------------
     @classmethod

@@ -24,7 +24,7 @@ import json
 
 import pytest
 
-from repro.dsa.config import DeviceConfig, WqMode
+from repro.dsa.config import DeviceConfig, EngineConfig, GroupConfig, WqConfig, WqMode
 from repro.dsa.descriptor import BatchDescriptor, WorkDescriptor
 from repro.dsa.device import DsaDevice
 from repro.dsa.opcodes import DescriptorFlags, Opcode
@@ -286,6 +286,100 @@ def scenario_fleet_loss():
     return platform, []
 
 
+def scenario_cxl_destination():
+    platform, device, space = _device(spr_platform(with_cxl=True))
+    cxl = platform.memsys.node(2)
+    descriptors = []
+    for size in (4 * KB, 64 * KB, 256 * KB):
+        src = space.allocate(size, node=0)
+        dst = space.allocate(size, node=cxl.node_id)
+        descriptors.append(
+            WorkDescriptor(
+                Opcode.MEMMOVE, pasid=space.pasid, flags=BOF1, src=src.va, dst=dst.va,
+                size=size,
+            )
+        )
+        src = space.allocate(size, node=cxl.node_id)
+        dst = space.allocate(size, node=0)
+        descriptors.append(
+            WorkDescriptor(
+                Opcode.MEMMOVE, pasid=space.pasid, flags=BOF1, src=src.va, dst=dst.va,
+                size=size,
+            )
+        )
+    _submit_all(platform, device, descriptors)
+    # Both legs of the CXL multi-link flow and the non-DRAM DDIO write ran.
+    assert cxl.internal_link.bytes_completed > 0
+    assert cxl.write_link.bytes_completed > 0
+    return platform, descriptors
+
+
+def scenario_leaky_dma():
+    platform = spr_platform(n_devices=3, socket_of=lambda _index: 0)
+    descriptors = []
+    devices = []
+    for name in ("dsa0", "dsa1", "dsa2"):
+        _platform, device, space = _device(platform, name)
+        devices.append((device, [_copy(space, 1024 * KB) for _ in range(8)]))
+    tracer = platform.env.tracer
+    for device, batch in devices:
+        for descriptor in batch:
+            descriptor.trace_track = tracer.next_track()
+            assert device.submit(descriptor)
+        descriptors += batch
+    platform.env.run()
+    # DDIO-path writes to DRAM make no write flow: only leaked ones do.
+    assert platform.memsys.node(0).write_link.bytes_completed > 0
+    return platform, descriptors
+
+
+def scenario_llc_operands():
+    platform, device, space = _device()
+    descriptors = []
+    for size in (4 * KB, 64 * KB):
+        src = space.allocate(size, in_llc=True)
+        dst = space.allocate(size)
+        descriptors.append(
+            WorkDescriptor(
+                Opcode.MEMMOVE, pasid=space.pasid, flags=BOF1, src=src.va, dst=dst.va,
+                size=size,
+            )
+        )
+        descriptors.append(
+            _copy(space, size, flags=BOF1 | DescriptorFlags.CACHE_CONTROL)
+        )
+    dst = space.allocate(16 * KB, in_llc=True)
+    descriptors.append(
+        WorkDescriptor(Opcode.FILL, pasid=space.pasid, flags=BOF1, dst=dst.va, size=16 * KB)
+    )
+    _submit_all(platform, device, descriptors)
+    # Only the two CACHE_CONTROL copies read DRAM; their writes (and the
+    # in-LLC fill's) allocate into the core ways.
+    assert platform.memsys.node(0).read_link.bytes_completed == 68 * KB
+    assert platform.memsys.llc.occupancy(device.agent) > 0
+    return platform, descriptors
+
+
+def scenario_qos_weights():
+    config = DeviceConfig(
+        wqs=(WqConfig(0, size=16, priority=8), WqConfig(1, size=16, priority=1)),
+        engines=(EngineConfig(0), EngineConfig(1)),
+        groups=(GroupConfig(0, wq_ids=(0, 1), engine_ids=(0, 1)),),
+    )
+    platform, device, space = _device(spr_platform(device_config=config))
+    tracer = platform.env.tracer
+    descriptors = []
+    for index in range(12):
+        descriptor = _copy(space, (16 + 8 * (index % 3)) * KB)
+        descriptor.trace_track = tracer.next_track()
+        assert device.submit(descriptor, wq_id=index % 2)
+        descriptors.append(descriptor)
+    platform.env.run()
+    # Port flows of both WQs carried their priority as fair-share weight.
+    assert {d.dispatch_weight for d in descriptors} == {1.0, 8.0}
+    return platform, descriptors
+
+
 SCENARIOS = {
     "memmove": scenario_memmove,
     "partial_head": scenario_partial_head,
@@ -300,6 +394,10 @@ SCENARIOS = {
     "remote_operand": scenario_remote_operand,
     "traffic": scenario_traffic,
     "fleet_loss": scenario_fleet_loss,
+    "cxl_destination": scenario_cxl_destination,
+    "leaky_dma": scenario_leaky_dma,
+    "llc_operands": scenario_llc_operands,
+    "qos_weights": scenario_qos_weights,
 }
 
 #: sha256 prefixes of each scenario's outcome (see the module docstring).
@@ -317,6 +415,35 @@ GOLDEN = {
     "remote_operand": "37a8595def599d208544dd94",
     "traffic": "972276202bc41a499eae877a",
     "fleet_loss": "a93b42568675544cc0adba83",
+    "cxl_destination": "81f8faf3db8abab4ddbbce98",
+    "leaky_dma": "88bb6e54b78b6d2239b7b83e",
+    "llc_operands": "0a69477d670d2f400e2b04cb",
+    "qos_weights": "ad30483c903640f3e1e1aedb",
+}
+
+
+#: Calendar entries each scenario pushes (``env._seq``), recorded with
+#: GOLDEN.  A rewrite that adds a hop or drops an entry can leave every
+#: digest above unchanged when no other entry shares the instant; the
+#: count still moves.
+PUSHES = {
+    "cache_flush": 24,
+    "cxl_destination": 130,
+    "disabled_before_dispatch": 10,
+    "drain": 81,
+    "fault_at_zero": 24,
+    "fenced_batch": 72,
+    "fleet_loss": 5806,
+    "injected_reset": 17,
+    "invalid_batch": 50,
+    "leaky_dma": 435,
+    "llc_operands": 74,
+    "memmove": 64,
+    "partial_head": 33,
+    "qos_weights": 197,
+    "remote_operand": 96,
+    "traffic": 10330,
+    "unmapped": 23,
 }
 
 
@@ -356,3 +483,4 @@ def test_event_order_is_golden(scenario, calendar, tracer, completions):
     assert platform.env.calendar_backend == calendar
     assert len(tracer) > 0
     assert _digest(platform, descriptors, completions, tracer) == GOLDEN[scenario]
+    assert platform.env._seq == PUSHES[scenario]
