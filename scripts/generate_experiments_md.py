@@ -32,13 +32,10 @@ experiments only ever cap uniform-weight flows, where redistribution
 never engages — every anchor below is byte-identical to the
 pre-water-filling output (see docs/PERFORMANCE.md §4).
 
-Note on fidelity tiers: every anchor below is validated at
-``--fidelity des`` — the default, full per-event simulation, which is
-byte-identical to builds without the tiered executor.  The ``auto``
-fast path is cross-validated against these numbers separately:
-``scripts/check_fidelity_equivalence.py`` requires all anchors to hold
-identically at both tiers and every series point to agree within the
-declared 5% tolerance (see docs/PERFORMANCE.md §6).
+Note on the simulation path: every anchor below comes from the one
+full per-event simulation.  The analytical steady-state fast path that
+once sat beside it was retired because it did not pay on these runs
+(see docs/PERFORMANCE.md §6).
 
 """
 

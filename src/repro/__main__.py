@@ -119,7 +119,6 @@ def _cmd_run(args) -> int:
         trace=tracer is not None,
         sink=sink,
         hist_backend=args.hist_backend,
-        fidelity=args.fidelity,
         calendar=args.calendar,
         tier=args.tier,
         traffic=args.traffic,
@@ -330,17 +329,6 @@ def main(argv=None) -> int:
         help="histogram metric backend: exact (store samples), streaming "
         "(fixed log buckets, <=1%% percentile error, O(1) memory), or "
         "auto (exact until 65536 samples, then streaming; the default)",
-    )
-    run_parser.add_argument(
-        "--fidelity",
-        choices=["des", "auto", "analytical"],
-        default="des",
-        help="simulation fidelity tier: des (full per-event simulation, "
-        "byte-identical default — all anchors are validated here), auto "
-        "(batch detected steady-state regions analytically, cross-validated "
-        "within a declared 5%% tolerance, DES fallback at transients), or "
-        "analytical (loose gates, best-effort accuracy); see "
-        "docs/PERFORMANCE.md section 6",
     )
     run_parser.add_argument(
         "--calendar",

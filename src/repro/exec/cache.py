@@ -54,7 +54,6 @@ DEFAULT_ROOT = ".repro-cache"
 #: the variant salt, so default runs keep their historical (empty
 #: variant) keys across releases that add new flags.
 VARIANT_DEFAULTS = {
-    "fidelity": "des",
     "hist": "auto",
     "calendar": "heap",
     "tier": "small",
@@ -68,8 +67,8 @@ def variant_string(**flags) -> str:
     """Canonical cache-``variant`` salt for run-mode flags.
 
     One builder instead of ad hoc concatenation at call sites:
-    ``variant_string(hist="streaming", fidelity="auto")`` →
-    ``"fidelity=auto,hist=streaming"``.  Properties that make distinct
+    ``variant_string(hist="streaming", calendar="wheel")`` →
+    ``"calendar=wheel,hist=streaming"``.  Properties that make distinct
     flag combinations collision-free:
 
     * keys are emitted in sorted order (call-site order is irrelevant);
@@ -129,12 +128,10 @@ class ResultCache:
         """Full content key for one (experiment, flags, seed, code) tuple.
 
         ``variant`` salts the key for run modes that change the stored
-        payload without changing the code — the non-default
+        payload without changing the code — for example the non-default
         ``--hist-backend`` choices (metrics snapshots differ from the
-        ``auto`` default) and non-default ``--fidelity`` tiers (results
-        are within-tolerance, not byte-identical).  Callers build it
-        with :func:`variant_string`; the empty default keeps existing
-        keys.
+        ``auto`` default).  Callers build it with
+        :func:`variant_string`; the empty default keeps existing keys.
         """
         source_fp = fingerprint(module_path(exp_id))
         material = f"v{CACHE_FORMAT}|{exp_id}|quick={int(bool(quick))}|seed={seed}|{source_fp}"

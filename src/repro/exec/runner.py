@@ -44,7 +44,6 @@ from repro.obs import (
     uninstall_metrics,
     uninstall_sink,
 )
-from repro.sim.fidelity import install_fidelity, uninstall_fidelity
 from repro.sim.rng import DEFAULT_SEED, install_seed, uninstall_seed
 
 
@@ -76,7 +75,6 @@ def _worker(
     with_trace: bool,
     sink_shard: Optional[str] = None,
     hist_backend: Optional[str] = None,
-    fidelity: Optional[str] = None,
     calendar: Optional[str] = None,
     tier: Optional[str] = None,
     traffic: Optional[str] = None,
@@ -99,11 +97,6 @@ def _worker(
         from repro.obs import set_default_hist_backend
 
         set_default_hist_backend(hist_backend)
-    if fidelity is not None:
-        # Same reason: pool workers are reused, so the parent's
-        # --fidelity choice is re-installed on every call (an explicit
-        # "des" disables batching left over from a previous runner).
-        install_fidelity(fidelity)
     if calendar is not None:
         # Same pattern as --hist-backend: the parent installed the
         # process-wide default, the worker re-applies it per call.
@@ -199,7 +192,6 @@ class ParallelRunner:
         trace: bool = False,
         sink: Optional[ResultSink] = None,
         hist_backend: Optional[str] = None,
-        fidelity: Optional[str] = None,
         calendar: Optional[str] = None,
         tier: Optional[str] = None,
         traffic: Optional[str] = None,
@@ -213,10 +205,6 @@ class ParallelRunner:
         self.trace = bool(trace)
         self.sink = sink
         self.hist_backend = hist_backend
-        #: ``--fidelity`` mode string installed in every worker (and
-        #: in-process for ``jobs=1``); None = leave whatever the caller
-        #: installed (normally nothing, i.e. full DES).
-        self.fidelity = fidelity
         #: ``--calendar`` backend re-installed in every worker; for
         #: ``jobs=1`` the CLI already set the process-wide default.
         self.calendar = calendar
@@ -278,7 +266,6 @@ class ParallelRunner:
         """
         return variant_string(
             hist=self.hist_backend,
-            fidelity=self.fidelity,
             calendar=self.calendar,
             tier=self.tier,
             traffic=self.traffic,
@@ -323,9 +310,6 @@ class ParallelRunner:
         owns_registry = installed_metrics() is None
         if owns_registry:
             install_metrics(MetricsRegistry())
-        owns_fidelity = self.fidelity is not None
-        if owns_fidelity:
-            install_fidelity(self.fidelity)
         start = time.perf_counter()
         try:
             result = run_experiment(exp_id, quick=self.quick)
@@ -339,8 +323,6 @@ class ParallelRunner:
             uninstall_seed()
             if owns_registry:
                 uninstall_metrics()
-            if owns_fidelity:
-                uninstall_fidelity()
         return RunOutcome(exp_id=exp_id, result=result, wall=time.perf_counter() - start)
 
     # -- driver ---------------------------------------------------------
@@ -389,9 +371,8 @@ class ParallelRunner:
                 futures = {
                     exp_id: pool.submit(
                         _worker, exp_id, self.quick, self.seed, self.trace,
-                        shard_path(exp_id), self.hist_backend, self.fidelity,
-                        self.calendar, self.tier, self.traffic,
-                        self.fleet, self.placement,
+                        shard_path(exp_id), self.hist_backend, self.calendar,
+                        self.tier, self.traffic, self.fleet, self.placement,
                     )
                     for exp_id in misses
                 }

@@ -1,6 +1,6 @@
 """The ``--fleet`` topology knob (install pattern).
 
-Follows :mod:`repro.traffic.tiers` / :mod:`repro.sim.fidelity`: the CLI
+Follows :mod:`repro.traffic.tiers` / :mod:`repro.sim.calendar`: the CLI
 installs a process-wide default (``--fleet SxD --placement P``), the
 parallel runner re-installs it in every worker call, and fleet-aware
 layers (the traffic ``drive_profile`` harness, the ``fleet-scaling``

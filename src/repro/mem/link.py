@@ -157,26 +157,6 @@ class FairShareLink:
             rate = min(rate, self.per_flow_cap)
         return rate
 
-    def rate_of(self, weight: float = 1.0) -> float:
-        """Rate a *new* flow of ``weight`` would get right now.
-
-        Pure read for planners (the fidelity tier's rate-bound check):
-        no event is dispatched, no flow state changes, and the answer
-        accounts for the weights actually in flight — unlike
-        :meth:`instantaneous_rate`, which keeps the historical
-        equal-share approximation for its existing callers.
-        """
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight}")
-        if self._wf_flows is not None:
-            total = sum(flow.weight for flow in self._wf_flows) + weight
-        else:
-            total = self._W + weight
-        rate = self.bandwidth * weight / total
-        if self.per_flow_cap is not None:
-            rate = min(rate, self.per_flow_cap)
-        return rate
-
     def transfer(
         self,
         nbytes: float,

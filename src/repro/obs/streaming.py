@@ -97,34 +97,6 @@ class StreamingHistogram:
         for value in values:
             self.add(value)
 
-    def add_repeated(self, value: float, count: int) -> None:
-        """Add ``count`` copies of ``value`` into one bucket update.
-
-        O(1) regardless of ``count`` — synthesized streams from the
-        fidelity batch tier land in the same bucket their value would
-        have reached via :meth:`add`, so the alpha envelope holds
-        unchanged.
-        """
-        if count < 0:
-            raise ValueError(f"negative repeat count: {count}")
-        if count == 0:
-            return
-        self.count += count
-        self._sum += value * count
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-        if value > 0.0:
-            index = math.ceil(math.log(value) / self._log_gamma)
-            self._pos[index] = self._pos.get(index, 0) + count
-        elif value < 0.0:
-            index = math.ceil(math.log(-value) / self._log_gamma)
-            self._neg[index] = self._neg.get(index, 0) + count
-        else:
-            self._zero += count
-        self._dirty = True
-
     def merge(self, other: "StreamingHistogram") -> None:
         """Exact bucket-wise merge of another histogram with equal alpha."""
         if not isinstance(other, StreamingHistogram):

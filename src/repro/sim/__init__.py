@@ -56,15 +56,6 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.fidelity import (
-    DECLARED_TOLERANCE,
-    FidelityMode,
-    FidelityPolicy,
-    active_fidelity,
-    fidelity,
-    install_fidelity,
-    uninstall_fidelity,
-)
 from repro.sim.resources import PriorityStore, Resource, Store
 from repro.sim.stats import Histogram, OnlineStat, TimeWeightedStat
 from repro.sim.rng import (
@@ -106,11 +97,4 @@ __all__ = [
     "OnlineStat",
     "TimeWeightedStat",
     "make_rng",
-    "DECLARED_TOLERANCE",
-    "FidelityMode",
-    "FidelityPolicy",
-    "active_fidelity",
-    "fidelity",
-    "install_fidelity",
-    "uninstall_fidelity",
 ]

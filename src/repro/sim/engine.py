@@ -597,30 +597,6 @@ class Environment:
             self.metrics.counter("sim.stale_timers").add(delta)
             self._stale_flushed = self._stale_timers
 
-    def advance_to(self, until: float) -> float:
-        """Bulk time-advance: jump the clock to ``until`` without events.
-
-        The fidelity batch tier (``repro.sim.batch``) uses this to
-        charge an analytically-solved steady-state region to the
-        simulated clock in one step.  It is only legal over *empty*
-        simulated time: a live calendar entry earlier than ``until``
-        would be silently reordered into the past, so that raises
-        :class:`SimulationError` instead.  Cancelled entries don't
-        count — :meth:`peek` discards them on the way — which is why
-        the tier relies on :meth:`Event.cancel`'s lazy-discard
-        contract.  Returns the new clock.
-        """
-        until = float(until)
-        if until < self._now:
-            raise ValueError(f"until ({until}) is in the past (now={self._now})")
-        upcoming = self.peek()
-        if upcoming < until:
-            raise SimulationError(
-                f"cannot advance_to({until}): live event scheduled at {upcoming}"
-            )
-        self._now = until
-        return until
-
     def peek(self) -> float:
         """Time of the next live scheduled event, or ``inf`` if none."""
         wheel = self._wheel

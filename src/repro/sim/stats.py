@@ -145,21 +145,6 @@ class Histogram:
         for value in values:
             self.add(value)
 
-    def add_repeated(self, value: float, count: int) -> None:
-        """Add ``count`` copies of ``value`` in one O(count) append.
-
-        Bulk entry point for synthesized sample streams (the fidelity
-        batch tier, closed-form software runs) — one multiply for the
-        sum instead of ``count`` accumulations.
-        """
-        if count < 0:
-            raise ValueError(f"negative repeat count: {count}")
-        if count == 0:
-            return
-        self._samples.extend([value] * count)
-        self._dirty = True
-        self._sum += value * count
-
     def _ordered(self) -> List[float]:
         if self._dirty:
             # Timsort is O(n) when only a tail of new samples is unsorted.

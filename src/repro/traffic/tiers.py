@@ -10,7 +10,8 @@ runs at the full ~2M-request scale.  ``docs/TRAFFIC.md`` carries the
 same table with expected timings.
 
 The active tier follows the install pattern of
-:mod:`repro.sim.fidelity` / :func:`repro.sim.calendar.set_default_calendar`:
+:func:`repro.obs.metrics.set_default_hist_backend` /
+:func:`repro.sim.calendar.set_default_calendar`:
 the CLI installs a process-wide default (``--tier``), the parallel
 runner re-installs it in every worker call, and experiments read
 :func:`active_tier` — no threading through ``run(quick=...)``

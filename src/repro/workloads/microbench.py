@@ -17,25 +17,14 @@ from repro.cbdma.device import CbdmaDevice, CbdmaRequest
 from repro.cpu.core import CpuCore, CycleCategory
 from repro.dsa.config import DeviceConfig, WqMode
 from repro.dsa.descriptor import BatchDescriptor, WorkDescriptor
-from repro.dsa.device import DsaDevice
 from repro.dsa.dif import DifContext
 from repro.dsa.opcodes import DescriptorFlags, Opcode
-from repro.faults.inject import active_injector
 from repro.mem.address import AddressSpace, Buffer
 from repro.mem.pagetable import PAGE_4K
 from repro.platform import Platform, icx_platform, spr_platform
 from repro.runtime.driver import Portal
 from repro.runtime.submit import prepare_descriptor, submit
 from repro.runtime.wait import WaitMode, wait_for
-from repro.sim.batch import cycle_samples, extrapolate_closed_loop
-from repro.sim.fidelity import (
-    ClosedLoopPlan,
-    FidelityPolicy,
-    SteadyStateDetector,
-    active_fidelity,
-    analytical_rate_bound,
-    plan_closed_loop,
-)
 from repro.sim.stats import Histogram
 
 
@@ -194,8 +183,6 @@ def _dsa_worker(
     cfg: MicrobenchConfig,
     core: CpuCore,
     result: MicrobenchResult,
-    probe=None,
-    worker_id: int = 0,
 ) -> Generator:
     env = platform.env
     buffers = _WorkerBuffers(space, cfg)
@@ -213,24 +200,16 @@ def _dsa_worker(
         unit = outstanding.popleft()
         yield from wait_for(env, core, unit, cfg.wait_mode, platform.costs)
         completed += 1
-        latency = unit.times.completed - unit.times.prepared
-        result.latency.add(latency)
+        result.latency.add(unit.times.completed - unit.times.prepared)
         result.operations += len(unit) if isinstance(unit, BatchDescriptor) else 1
         result.payload_bytes += cfg.payload_per_unit
-        if probe is not None:
-            # Fidelity pilot hook: the steady-state detector records
-            # every completion (see repro.sim.fidelity).
-            probe(worker_id, env.now, latency)
 
 
-def _execute_dsa(
-    cfg: MicrobenchConfig, platform: Optional[Platform], probe=None
-) -> Tuple[MicrobenchResult, Platform, List[DsaDevice]]:
-    """Run the DSA closed loop event-by-event (the full-DES path).
-
-    Returns the result plus the platform and each worker's device so
-    the batch tier can synthesize counters after a pilot run.
-    """
+def run_dsa_microbench(
+    cfg: MicrobenchConfig, platform: Optional[Platform] = None
+) -> MicrobenchResult:
+    """Execute the sweep point on DSA and return the measurements."""
+    cfg.validate()
     if platform is None:
         needs_cxl = max(cfg.src_node, cfg.dst_node) >= 2
         # The paper's testbed (§4, Fig 10) measures 1-4 DSA instances on
@@ -253,108 +232,19 @@ def _execute_dsa(
         for name, device in sorted(platform.driver.devices.items())
         for wq_id in sorted(device.wqs)
     ]
-    worker_devices: List[DsaDevice] = []
     start = env.now
     for worker_id in range(cfg.n_workers):
         space = AddressSpace(page_size=cfg.page_size)
         device_name, wq_id = pairs[worker_id % len(pairs)]
         portal = platform.open_portal(device_name, wq_id, space)
-        worker_devices.append(platform.driver.devices[device_name])
         core = platform.core(worker_id)
         result.cores.append(core)
         env.process(
-            _dsa_worker(
-                platform, portal, space, cfg, core, result,
-                probe=probe, worker_id=worker_id,
-            ),
+            _dsa_worker(platform, portal, space, cfg, core, result),
             name=f"ubench.worker{worker_id}",
         )
     env.run()
     result.elapsed_ns = env.now - start
-    return result, platform, worker_devices
-
-
-def _run_dsa_batched(
-    cfg: MicrobenchConfig, plan: ClosedLoopPlan, policy: FidelityPolicy
-) -> Optional[MicrobenchResult]:
-    """Pilot-DES + analytical extrapolation, or None to fall back.
-
-    The pilot simulates ramp + window + drain guard event-by-event on a
-    fresh platform; if every worker's window is steady (and the rate
-    passes the closed-form bound), the remaining ``plan.batched``
-    iterations are applied in one step:
-
-    * latency: the window's observed samples, cycled;
-    * elapsed: slowest worker's ``batched × gap`` via ``env.advance_to``;
-    * core cycle accounting, device counters, ENQCMD retries: scaled by
-      the completion ratio (uniform scaling preserves ratio metrics
-      like the Fig 11 UMWAIT fraction exactly).
-    """
-    detector = SteadyStateDetector(cfg.n_workers)
-    pilot_cfg = replace(cfg, iterations=plan.pilot_iterations)
-    result, platform, worker_devices = _execute_dsa(
-        pilot_cfg, None, probe=detector.on_complete
-    )
-    env = platform.env
-    metrics = env.metrics
-    bound = analytical_rate_bound(platform, cfg.opcode, cfg.transfer_size)
-    # The bound is per work descriptor; units are batches of batch_size.
-    unit_bound = bound / cfg.batch_size if bound != float("inf") else None
-    advance = extrapolate_closed_loop(plan, detector, policy, rate_bound=unit_bound)
-    if advance is None:
-        metrics.counter("fidelity.fallbacks").add()
-        return None
-    members = cfg.batch_size
-    scale = cfg.iterations / plan.pilot_iterations
-    for extrapolation in advance.workers:
-        units = extrapolation.units
-        result.latency.extend(cycle_samples(extrapolation.latencies, units))
-        result.operations += units * members
-        result.payload_bytes += units * cfg.payload_per_unit
-        core = result.cores[extrapolation.worker]
-        for category, elapsed in core.times().items():
-            if elapsed > 0.0:
-                core.account(category, elapsed * (scale - 1.0))
-        device = worker_devices[extrapolation.worker]
-        extra_descriptors = units * members
-        extra_bytes = units * cfg.payload_per_unit
-        device.descriptors_completed += extra_descriptors
-        device.bytes_processed += extra_bytes
-        device._m_completed.add(extra_descriptors)
-        device._m_bytes.add(extra_bytes)
-    result.enqcmd_retries = round(result.enqcmd_retries * scale)
-    env.advance_to(env.now + advance.extra_elapsed_ns)
-    result.elapsed_ns += advance.extra_elapsed_ns
-    metrics.counter("fidelity.regions_batched").add()
-    metrics.counter("fidelity.descriptors_batched").add(advance.synthesized_units * members)
-    metrics.counter("fidelity.descriptors_des").add(
-        plan.pilot_iterations * cfg.n_workers * members
-    )
-    return result
-
-
-def run_dsa_microbench(
-    cfg: MicrobenchConfig, platform: Optional[Platform] = None
-) -> MicrobenchResult:
-    """Execute the sweep point on DSA and return the measurements.
-
-    With a non-DES fidelity policy installed (``--fidelity auto`` /
-    ``analytical``), homogeneous closed-loop runs take the batched fast
-    path when safe: a fresh dedicated platform (callers passing a
-    shared ``platform`` keep full DES — another workload may perturb
-    it), no fault injector, and enough iterations to amortize a pilot.
-    Any steadiness-gate failure falls back to the full DES run below,
-    which is also the unconditional path at the default ``des`` tier.
-    """
-    cfg.validate()
-    policy = active_fidelity()
-    if policy is not None and platform is None and active_injector() is None:
-        plan = plan_closed_loop(cfg.iterations, cfg.queue_depth, policy)
-        if plan is not None:
-            batched = _run_dsa_batched(cfg, plan, policy)
-            if batched is not None:
-                return batched
-    result, _platform, _devices = _execute_dsa(cfg, platform)
     return result
 
 
@@ -372,49 +262,11 @@ def _software_worker(
         result.payload_bytes += cfg.transfer_size
 
 
-def _run_software_analytical(cfg: MicrobenchConfig) -> MicrobenchResult:
-    """Closed-form software run: the kernel loop is exactly periodic.
-
-    ``_software_worker`` spends ``calls × per_call`` of BUSY time with
-    no contention between workers, so the DES outcome is a closed-form
-    expression — identical operations/latency samples, elapsed time
-    equal to one worker's serial span — and the event loop can be
-    skipped entirely (one ``advance_to`` instead of ``calls`` events).
-    Only float-accumulation order differs from the DES (multiply vs
-    repeated add), which is why this path only engages under a non-DES
-    policy.
-    """
-    platform = spr_platform(n_devices=0)
-    env = platform.env
-    result = MicrobenchResult(
-        config=cfg, operations=0, payload_bytes=0, elapsed_ns=0.0, latency=Histogram()
-    )
-    kernels = platform.kernels
-    in_llc = cfg.src_in_llc and (cfg.dst_in_llc or not cfg.opcode.writes_destination)
-    calls = cfg.iterations * cfg.batch_size
-    per_call = kernels.time(cfg.opcode, cfg.transfer_size, in_llc=in_llc)
-    for worker_id in range(cfg.n_workers):
-        core = platform.core(worker_id)
-        result.cores.append(core)
-        core.account(CycleCategory.BUSY, per_call * calls)
-        result.latency.add_repeated(per_call, calls)
-        result.operations += calls
-        result.payload_bytes += cfg.transfer_size * calls
-    elapsed = per_call * calls
-    env.advance_to(env.now + elapsed)
-    result.elapsed_ns = elapsed
-    env.metrics.counter("fidelity.regions_batched").add()
-    env.metrics.counter("fidelity.descriptors_batched").add(calls * cfg.n_workers)
-    return result
-
-
 def run_software_microbench(
     cfg: MicrobenchConfig, platform: Optional[Platform] = None
 ) -> MicrobenchResult:
     """Execute the same sweep point with the software kernels."""
     cfg.validate()
-    if active_fidelity() is not None and platform is None:
-        return _run_software_analytical(cfg)
     platform = platform or spr_platform(n_devices=0)
     env = platform.env
     result = MicrobenchResult(

@@ -2,7 +2,7 @@
 
 The result cache keys on ``(exp_id, quick, seed, variant)``; the variant
 string is the only thing separating results produced under different
-runtime flags (histogram backend, fidelity tier). These tests pin the
+runtime flags (histogram backend, calendar, tier, fleet). These tests pin the
 canonical builder — deterministic ordering, default elision — and prove
 that no two distinct flag combinations ever share a cache entry.
 """
@@ -22,14 +22,14 @@ class TestVariantString:
     def test_defaults_are_elided(self):
         # The default configuration must map to the pre-variant key ""
         # so existing caches stay valid.
-        assert variant_string(fidelity="des", hist="auto") == ""
-        assert variant_string(fidelity=None, hist=None) == ""
+        assert variant_string(hist="auto", calendar="heap", tier="small") == ""
+        assert variant_string(hist=None, calendar=None) == ""
 
     def test_keys_are_sorted(self):
         assert (
-            variant_string(hist="exact", fidelity="auto")
-            == variant_string(fidelity="auto", hist="exact")
-            == "fidelity=auto,hist=exact"
+            variant_string(hist="exact", calendar="wheel")
+            == variant_string(calendar="wheel", hist="exact")
+            == "calendar=wheel,hist=exact"
         )
 
     def test_bools_normalise_to_ints(self):
@@ -43,14 +43,15 @@ class TestVariantString:
             variant_string(hist="a,b")
 
     def test_distinct_flag_combos_never_collide(self):
-        fidelities = [None, "auto", "analytical"]
         hists = [None, "exact", "streaming"]
         calendars = [None, "wheel", "auto"]
+        tiers = [None, "medium", "large"]
+        placements = [None, "numa-local", "least-loaded"]
         traces = [False, True]
-        combos = list(itertools.product(fidelities, hists, calendars, traces))
+        combos = list(itertools.product(hists, calendars, tiers, placements, traces))
         strings = [
-            variant_string(fidelity=f, hist=h, calendar=c, trace=t)
-            for f, h, c, t in combos
+            variant_string(hist=h, calendar=c, tier=r, placement=p, trace=t)
+            for h, c, r, p, t in combos
         ]
         assert len(set(strings)) == len(combos)
 
@@ -69,15 +70,23 @@ class TestRunnerVariant:
     def test_default_runner_uses_legacy_empty_variant(self):
         assert ParallelRunner(jobs=1)._cache_variant == ""
 
-    def test_fidelity_flag_salts_the_variant(self):
-        assert ParallelRunner(jobs=1, fidelity="auto")._cache_variant == "fidelity=auto"
+    def test_hist_flag_salts_the_variant(self):
+        assert ParallelRunner(jobs=1, hist_backend="streaming")._cache_variant == "hist=streaming"
 
-    def test_explicit_des_matches_default(self):
-        assert ParallelRunner(jobs=1, fidelity="des")._cache_variant == ""
+    def test_explicit_defaults_match_default(self):
+        runner = ParallelRunner(
+            jobs=1, hist_backend="auto", calendar="heap", tier="small",
+            traffic="default", fleet="1x1", placement="round-robin",
+        )
+        assert runner._cache_variant == ""
 
     def test_combined_flags(self):
-        runner = ParallelRunner(jobs=1, hist_backend="streaming", fidelity="auto")
-        assert runner._cache_variant == "fidelity=auto,hist=streaming"
+        runner = ParallelRunner(jobs=1, hist_backend="streaming", calendar="wheel")
+        assert runner._cache_variant == "calendar=wheel,hist=streaming"
+
+    def test_fleet_flags_salt_the_variant(self):
+        runner = ParallelRunner(jobs=1, fleet="2x4", placement="numa-local")
+        assert runner._cache_variant == "fleet=2x4,placement=numa-local"
 
     def test_calendar_flag_salts_the_variant(self):
         assert ParallelRunner(jobs=1, calendar="wheel")._cache_variant == "calendar=wheel"
@@ -91,10 +100,10 @@ class TestCacheKeying:
 
     def test_variant_separates_entries(self, cache):
         base = cache.key("fig2", quick=False, seed=1)
-        salted = cache.key("fig2", quick=False, seed=1, variant="fidelity=auto")
+        salted = cache.key("fig2", quick=False, seed=1, variant="hist=streaming")
         assert base != salted
 
     def test_same_variant_same_key(self, cache):
-        a = cache.key("fig2", quick=True, seed=7, variant="fidelity=auto")
-        b = cache.key("fig2", quick=True, seed=7, variant="fidelity=auto")
+        a = cache.key("fig2", quick=True, seed=7, variant="hist=streaming")
+        b = cache.key("fig2", quick=True, seed=7, variant="hist=streaming")
         assert a == b

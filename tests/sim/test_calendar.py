@@ -476,40 +476,7 @@ def test_pooled_condition_timeouts_not_recycled_while_held():
     assert results == [["x", "y"]]
 
 
-# -- S4: advance_to x cancel x compaction, both backends -------------------
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_advance_to_empty_time(backend):
-    env = Environment(calendar=backend)
-    assert env.advance_to(1000.0) == 1000.0
-    assert env.now == 1000.0
-    with pytest.raises(ValueError):
-        env.advance_to(500.0)  # into the past
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_advance_to_blocked_by_live_entry(backend):
-    env = Environment(calendar=backend)
-    env.timeout(10.0)
-    with pytest.raises(SimulationError, match="live event scheduled at 10.0"):
-        env.advance_to(50.0)
-    assert env.now == 0.0
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_advance_to_skips_cancelled_entries(backend):
-    env = Environment(calendar=backend)
-    doomed = [env.timeout(float(i + 1)) for i in range(5)]
-    keeper = env.timeout(100.0)
-    for ev in doomed:
-        ev.cancel()
-    # peek() discards the cancelled heads; only the live 100.0 blocks.
-    assert env.advance_to(50.0) == 50.0
-    assert env.stale_timers == 5
-    with pytest.raises(SimulationError):
-        env.advance_to(200.0)
-    assert not keeper.cancelled
+# -- S4: cancel x compaction x run(until=), both backends ------------------
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -547,7 +514,11 @@ def test_cancel_then_advance_then_run(backend):
     doomed.cancel()
     env.run(until=10.0)
     assert order == ["early"]
-    assert env.advance_to(499.0) == 499.0
+    assert env.now == 10.0
+    assert env.peek() == 500.0  # the cancelled 7.0 entry never surfaces
+    env.run(until=499.0)
+    assert order == ["early"]
+    assert env.now == 499.0
     env.run()
     assert order == ["early", "late"]
     assert env.now == 500.0
