@@ -4,15 +4,24 @@ The arbiter picks which WQ feeds the next free PE.  It implements
 smooth weighted round-robin over non-empty WQs using the configured
 priorities: higher-priority WQs are served proportionally more often,
 but no WQ starves — exactly the fairness contract the paper describes.
+
+A PE asks for work with :meth:`GroupArbiter.request`.  The arbiter
+hands the selected descriptor over by setting the PE's ``_descriptor``
+and pushing one zero-delay bare entry to its ``_dispatch`` — the entry
+a delivering ``Event.succeed(descriptor)`` would push, without the
+Event.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, TYPE_CHECKING, Union
 
 from repro.dsa.descriptor import BatchDescriptor, WorkDescriptor
 from repro.dsa.wq import WorkQueue
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.dsa.engine import ProcessingEngine
 
 Descriptor = Union[WorkDescriptor, BatchDescriptor]
 
@@ -26,29 +35,34 @@ class GroupArbiter:
         self.env = env
         self.wqs = list(wqs)
         self._current_weight: Dict[int, int] = {wq.wq_id: 0 for wq in wqs}
-        self._waiting_pes: List[Event] = []
+        self._waiting_pes: List["ProcessingEngine"] = []
         self.dispatched = 0
         owner = self.wqs[0].name.rsplit(".", 1)[0]
         self._m_dispatched = env.metrics.counter(f"{owner}.arbiter.dispatched")
         for wq in self.wqs:
             wq.on_enqueue = self._on_enqueue
 
-    def get(self) -> Event:
-        """Event delivering the next descriptor to a PE."""
-        event = Event(self.env)
+    def request(self, pe: "ProcessingEngine") -> None:
+        """Hand ``pe`` the next descriptor now, or once one is enqueued.
+
+        Waiting PEs are served first come, first served.
+        """
         descriptor = self._select()
         if descriptor is not None:
-            event.succeed(descriptor)
+            self._hand_off(pe, descriptor)
         else:
-            self._waiting_pes.append(event)
-        return event
+            self._waiting_pes.append(pe)
+
+    def _hand_off(self, pe: "ProcessingEngine", descriptor: Descriptor) -> None:
+        pe._descriptor = descriptor
+        self.env.call_in(0.0, pe._dispatch)
 
     def _on_enqueue(self, _wq: WorkQueue) -> None:
         if not self._waiting_pes:
             return
         descriptor = self._select()
         if descriptor is not None:
-            self._waiting_pes.pop(0).succeed(descriptor)
+            self._hand_off(self._waiting_pes.pop(0), descriptor)
 
     def _select(self) -> Optional[Descriptor]:
         """Smooth weighted round-robin over non-empty WQs."""

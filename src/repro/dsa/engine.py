@@ -12,9 +12,10 @@ descriptors.  This split is what produces the paper's two regimes:
   single PE saturates the 30 GB/s fabric at moderate sizes (Figs 3, 4)
   and small transfers scale with more PEs (Fig 7).
 
-Both stages are fixed per-descriptor chains, so they run as event
-callbacks on the calendar entries a generator would have yielded, not
-as generator processes (docs/PERFORMANCE.md §9).
+Both stages are fixed per-descriptor chains, so they run as bare
+calendar entries (:meth:`~repro.sim.engine.Environment.call_in`) pushed
+where a generator would have yielded an event, not as generator
+processes (docs/PERFORMANCE.md §9, §11).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.faults.inject import active_injector
 from repro.mem.address import AddressSpace, Buffer
 from repro.mem.system import SAME_NODE_TURNAROUND_NS, TierKind
 from repro.sim.engine import Environment, Event
-from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dsa.arbiter import Descriptor
@@ -115,13 +115,14 @@ def _all_backed(operands: List[Tuple[Buffer, int, int]]) -> bool:
 class ProcessingEngine:
     """One PE: serial descriptor unit + pipelined data movers.
 
-    Both stages are chains of event callbacks, not generator processes:
-    each stage pushes its next calendar entry (a timeout, an arbiter
-    get, a read-buffer request, an ``all_of``) and hangs the next stage
-    on that event's callbacks.  The entries, and the order they are
-    pushed in, are those a generator yielding the same events would
-    push, so the calendar pops in the same order (docs/PERFORMANCE.md
-    §9).  The data phase's bandwidth flows report through the links'
+    Both stages are chains of callbacks, not generator processes: each
+    stage pushes its next calendar entry — a bare entry carrying the
+    next stage (a delay, the arbiter's hand-off, the read-buffer
+    grant), or an ``all_of`` for waits on other descriptors' data
+    phases.  The entries, and the order they are pushed in, are those
+    a generator yielding the equivalent events would push, so the
+    calendar pops in the same order (docs/PERFORMANCE.md §9, §11).
+    The data phase's bandwidth flows report through the links'
     callback form and the phase counts them itself, pushing the entry
     an ``all_of`` over them would have (§10).  The serial stage handles
     one descriptor at a time, so its state lives on the engine; each
@@ -134,8 +135,13 @@ class ProcessingEngine:
         self.engine_id = engine_id
         self.env: Environment = device.env
         timing = device.timing
-        buffers = group.config.read_buffers_per_engine or timing.read_buffers_per_engine
-        self.read_buffers = Resource(self.env, capacity=buffers)
+        #: Data phases that may overlap (the read-buffer pool's size),
+        #: the buffers free now, and whether the serial stage waits for
+        #: one — it holds one descriptor at a time, so never more than
+        #: one waiter.
+        self.read_buffers = group.config.read_buffers_per_engine or timing.read_buffers_per_engine
+        self.free_read_buffers = self.read_buffers
+        self._buffer_wait = False
         self.descriptors_processed = 0
         #: Data phases in flight, oldest first: what a DRAIN waits for.
         self._inflight: Dict[_DataPhase, None] = {}
@@ -143,28 +149,27 @@ class ProcessingEngine:
         self._m_data_phases = self.env.metrics.counter(f"{self.agent}.data_phases")
         #: Destination node -> (is DRAM, UPI hop) for DDIO-path writes.
         self._ddio_routes: Dict[int, Tuple[bool, float]] = {}
-        # Serial-stage state: the descriptor the arbiter delivered, the
-        # work descriptor in setup, and a batch's remaining members and
-        # admitted data phases' exit events.
+        # Serial-stage state: the descriptor the arbiter handed over,
+        # the work descriptor in setup, and a batch's remaining members
+        # and admitted data phases' exit events.
         self._descriptor: Optional[Descriptor] = None
         self._work: Optional[WorkDescriptor] = None
         self._members: Optional[Iterator[WorkDescriptor]] = None
         self._batch_events: Optional[List[Event]] = None
         # Boot entry: the engine first asks the arbiter when this pops.
-        self.env.timeout(0.0).callbacks.append(self._idle)
+        self.env.call_in(0.0, self._idle)
 
     # -- serial stage ----------------------------------------------------------
-    def _idle(self, _event: Optional[Event] = None) -> None:
-        """Wait for the arbiter's next descriptor."""
-        self.group.arbiter.get().callbacks.append(self._dispatch)
+    def _idle(self) -> None:
+        """Wait for the arbiter's next descriptor: it sets
+        ``_descriptor`` and pushes :meth:`_dispatch`."""
+        self.group.arbiter.request(self)
 
-    def _dispatch(self, event: Event) -> None:
-        descriptor = event.value
-        descriptor.times.dispatched = self.env.now
-        self._descriptor = descriptor
-        self.env.timeout(self.device.timing.dispatch_ns).callbacks.append(self._dispatched)
+    def _dispatch(self) -> None:
+        self._descriptor.times.dispatched = self.env.now
+        self.env.call_in(self.device.timing.dispatch_ns, self._dispatched)
 
-    def _dispatched(self, _event: Event) -> None:
+    def _dispatched(self) -> None:
         descriptor = self._descriptor
         if not self.device.enabled:
             # The driver disabled the device between enqueue and
@@ -195,11 +200,9 @@ class ProcessingEngine:
             self.env.tracer.instant(
                 self.env.now, "device_reset", "execute", self.agent, descriptor.trace_track
             )
-        self.env.timeout(timing.completion_write_ns).callbacks.append(
-            self._descriptor_written
-        )
+        self.env.call_in(timing.completion_write_ns, self._descriptor_written)
 
-    def _descriptor_written(self, _event: Event) -> None:
+    def _descriptor_written(self) -> None:
         """Completion record of the dispatched descriptor written by the serial stage."""
         descriptor = self._descriptor
         descriptor.times.completed = self.env.now
@@ -212,9 +215,7 @@ class ProcessingEngine:
         invalid = batch.validate()
         if invalid is not None:
             batch.completion.status = invalid
-            self.env.timeout(timing.completion_write_ns).callbacks.append(
-                self._descriptor_written
-            )
+            self.env.call_in(timing.completion_write_ns, self._descriptor_written)
             return
         fetch = (
             timing.batch_fetch_base_ns
@@ -231,9 +232,9 @@ class ProcessingEngine:
                 batch.trace_track,
                 {"descriptors": len(batch.descriptors)},
             )
-        self.env.timeout(fetch).callbacks.append(self._batch_fetched)
+        self.env.call_in(fetch, self._batch_fetched)
 
-    def _batch_fetched(self, _event: Event) -> None:
+    def _batch_fetched(self) -> None:
         self._members = iter(self._descriptor.descriptors)
         self._batch_events = []
         self._next_member()
@@ -259,20 +260,20 @@ class ProcessingEngine:
             failed = sum(1 for d in batch.descriptors if not d.completion.status.is_success)
             batch.completion.status = StatusCode.BATCH_FAILED if failed else StatusCode.SUCCESS
             batch.completion.bytes_completed = len(batch.descriptors) - failed
-            env.timeout(timing.completion_write_ns).callbacks.append(written)
+            env.call_in(timing.completion_write_ns, written)
 
-        def written(_event: Event) -> None:
+        def written() -> None:
             batch.times.completed = env.now
             self.device._complete(batch)
 
-        def start(_event: Event) -> None:
+        def start() -> None:
             if events:
                 env.all_of(events).callbacks.append(members_done)
             else:
                 members_done()
 
         # Boot entry: the wait for the members starts when this pops.
-        env.timeout(0.0).callbacks.append(start)
+        env.call_in(0.0, start)
 
     def _serial_done(self) -> None:
         """The serial stage is done with one work descriptor."""
@@ -284,16 +285,14 @@ class ProcessingEngine:
     def _admit(self, work: WorkDescriptor) -> None:
         """Serial stage; then hand off to a pipelined data phase."""
         self._work = work
-        self.env.timeout(self.device.timing.pe_setup_ns).callbacks.append(self._set_up)
+        self.env.call_in(self.device.timing.pe_setup_ns, self._set_up)
 
-    def _set_up(self, _event: Event) -> None:
+    def _set_up(self) -> None:
         work = self._work
         invalid = work.validate()
         if invalid is not None:
             work.completion.status = invalid
-            self.env.timeout(self.device.timing.completion_write_ns).callbacks.append(
-                self._work_written
-            )
+            self.env.call_in(self.device.timing.completion_write_ns, self._work_written)
             return
         if work.opcode is Opcode.DRAIN:
             # Drain: complete only after everything already dispatched
@@ -312,11 +311,9 @@ class ProcessingEngine:
 
     def _drained(self, _event: Optional[Event] = None) -> None:
         self._work.completion.status = StatusCode.SUCCESS
-        self.env.timeout(self.device.timing.completion_write_ns).callbacks.append(
-            self._work_written
-        )
+        self.env.call_in(self.device.timing.completion_write_ns, self._work_written)
 
-    def _work_written(self, _event: Event) -> None:
+    def _work_written(self) -> None:
         """Completion record of a descriptor that never reached a data phase."""
         work = self._work
         work.times.completed = self.env.now
@@ -324,13 +321,17 @@ class ProcessingEngine:
         self._serial_done()
 
     def _fenced(self, _event: Optional[Event] = None) -> None:
-        # Stall when the pipeline is full.
-        self.read_buffers.request().callbacks.append(self._admitted)
+        """Take a read buffer, or stall until a data phase frees one."""
+        if self.free_read_buffers:
+            self.free_read_buffers -= 1
+            self.env.call_in(0.0, self._admitted)
+        else:
+            self._buffer_wait = True
 
-    def _admitted(self, _event: Event) -> None:
+    def _admitted(self) -> None:
         phase = _DataPhase(self, self._work)
         # Boot entry: the data phase starts when this pops.
-        self.env.timeout(0.0).callbacks.append(phase.start)
+        self.env.call_in(0.0, phase.start)
         self._inflight[phase] = None
         if self._batch_events is not None:
             self._batch_events.append(phase.exit_event())
@@ -433,7 +434,7 @@ class ProcessingEngine:
 
 
 class _DataPhase:
-    """One descriptor's pipelined data stage, as a chain of event callbacks.
+    """One descriptor's pipelined data stage, as a chain of bare calendar entries.
 
     translate → read latency → fair-share flows → write tail →
     completion record; a BOF=0 page fault moves the head up to the
@@ -477,10 +478,18 @@ class _DataPhase:
         return self.exit
 
     def retire(self) -> None:
-        """Free the read buffer, count the phase, trigger its exit event."""
+        """Free the read buffer, count the phase, trigger its exit event.
+
+        A serial stage stalled on the buffer gets it straight away:
+        the grant is one zero-delay entry to its next stage.
+        """
         pe = self.pe
         del pe._inflight[self]
-        pe.read_buffers.release()
+        if pe._buffer_wait:
+            pe._buffer_wait = False
+            pe.env.call_in(0.0, pe._admitted)
+        else:
+            pe.free_read_buffers += 1
         pe.descriptors_processed += 1
         pe._m_data_phases.add()
         if self.exit is not None:
@@ -491,7 +500,7 @@ class _DataPhase:
         if self in self.pe._inflight:
             self.retire()
 
-    def start(self, _event: Event) -> None:
+    def start(self) -> None:
         pe = self.pe
         device = pe.device
         env = pe.env
@@ -513,9 +522,7 @@ class _DataPhase:
                 if traced:
                     tracer.instant(env.now, "unmapped_address", "translate", agent, track)
                     tracer.end(env.now, "translate", "translate", agent, track)
-                env.timeout(device.timing.completion_write_ns).callbacks.append(
-                    self._fault_written
-                )
+                env.call_in(device.timing.completion_write_ns, self._fault_written)
                 return
             self.demand = demand
 
@@ -570,14 +577,14 @@ class _DataPhase:
             self.faults = total_faults
             translate_ns += ats_ns
             if translate_ns:
-                env.timeout(translate_ns).callbacks.append(translated)
+                env.call_in(translate_ns, translated)
                 return
             translated()
         except BaseException:
             self._fail()
             raise
 
-    def _translated(self, _event: Optional[Event] = None) -> None:
+    def _translated(self) -> None:
         pe = self.pe
         device = pe.device
         env = pe.env
@@ -605,16 +612,14 @@ class _DataPhase:
                     {"opcode": work.opcode.name, "size": work.size},
                 )
             if work.opcode is Opcode.CACHE_FLUSH:
-                env.timeout(work.size / device.timing.cache_flush_bandwidth).callbacks.append(
-                    self._stored
-                )
+                env.call_in(work.size / device.timing.cache_flush_bandwidth, self._stored)
                 return
             self._read()
         except BaseException:
             self._fail()
             raise
 
-    def _fault_translated(self, _event: Optional[Event] = None) -> None:
+    def _fault_translated(self) -> None:
         """BOF=0 page fault: finish the head, report partial completion.
 
         The engine has moved ``fault_offset`` bytes when the faulting
@@ -664,11 +669,11 @@ class _DataPhase:
                 device.memsys.read_latency(buffer.node, device.socket, in_llc=buffer.in_llc),
             )
         if read_ns:
-            self.pe.env.timeout(read_ns).callbacks.append(self._stream)
+            self.pe.env.call_in(read_ns, self._stream)
         else:
             self._stream()
 
-    def _stream(self, _event: Optional[Event] = None) -> None:
+    def _stream(self) -> None:
         try:
             self.pending, self.write_tail = self.pe._build_flows(
                 self.work, self.demand, self._flow_done
@@ -679,7 +684,7 @@ class _DataPhase:
             self._fail()
             raise
 
-    def _flow_done(self, _event: Event) -> None:
+    def _flow_done(self) -> None:
         """One flow drained; after the last, the write tail starts.
 
         Counts what an ``all_of`` over the flows counted, and pushes
@@ -687,19 +692,19 @@ class _DataPhase:
         """
         self.pending -= 1
         if not self.pending:
-            self.pe.env.timeout(0.0).callbacks.append(self._write)
+            self.pe.env.call_in(0.0, self._write)
 
-    def _write(self, _event: Optional[Event] = None) -> None:
+    def _write(self) -> None:
         try:
             if self.write_tail:
-                self.pe.env.timeout(self.write_tail).callbacks.append(self._stored)
+                self.pe.env.call_in(self.write_tail, self._stored)
             else:
                 self._stored()
         except BaseException:
             self._fail()
             raise
 
-    def _stored(self, _event: Optional[Event] = None) -> None:
+    def _stored(self) -> None:
         """The data (or a BOF=0 head) has landed: run the byte operation."""
         pe = self.pe
         env = pe.env
@@ -708,9 +713,7 @@ class _DataPhase:
         try:
             if fault_offset is None:
                 pe._finish_functional(work, self.space, self.operands)
-                env.timeout(pe.device.timing.completion_write_ns).callbacks.append(
-                    self._written
-                )
+                env.call_in(pe.device.timing.completion_write_ns, self._written)
                 return
             if work.opcode in RESUMABLE_OPCODES and _all_backed(self.operands):
                 functional.execute(work.clone_range(0, fault_offset), self.space)
@@ -729,9 +732,9 @@ class _DataPhase:
         completion.bytes_completed = self.fault_offset
         completion.fault_address = self.fault_va
         env.metrics.counter(f"{device.name}.partial_completions").add()
-        env.timeout(device.timing.completion_write_ns).callbacks.append(self._fault_written)
+        env.call_in(device.timing.completion_write_ns, self._fault_written)
 
-    def _written(self, _event: Event) -> None:
+    def _written(self) -> None:
         pe = self.pe
         env = pe.env
         work = self.work
@@ -754,7 +757,7 @@ class _DataPhase:
             self._fail()
             raise
 
-    def _fault_written(self, _event: Event) -> None:
+    def _fault_written(self) -> None:
         """Completion record of an unmapped-address or BOF=0 fault written."""
         device = self.pe.device
         work = self.work

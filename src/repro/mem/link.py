@@ -5,8 +5,8 @@ fabric port, DRAM node, UPI link, CXL port) shared by concurrent flows
 using generalized processor sharing: at any instant, each active flow
 progresses proportionally to its weight.  Callers ask for
 ``transfer(nbytes)`` and receive an event that triggers when the flow's
-bytes have drained — or pass ``callback=`` and have the callback run
-from a zero-delay timeout pushed at that instant, which is the same
+bytes have drained — or pass ``callback=`` and have ``callback()`` run
+from a zero-delay bare entry pushed at that instant, which is the same
 calendar entry without an Event per flow.
 
 Propagation latency is *not* part of the link — callers model latency
@@ -59,12 +59,12 @@ class _Flow:
         nbytes: float,
         weight: float,
         event: Optional[Event],
-        callback: Optional[Callable[[Event], None]],
+        callback: Optional[Callable[[], None]],
     ):
         self.size = float(nbytes)
         self.weight = weight
         # Exactly one of the two is set: the Event a caller waits on, or
-        # the callback a zero-delay timeout carries once the flow drains.
+        # the callback a zero-delay bare entry calls once the flow drains.
         self.event = event
         self.callback = callback
         self.seq = 0  # link-local join order (deterministic ties)
@@ -161,14 +161,14 @@ class FairShareLink:
         self,
         nbytes: float,
         weight: float = 1.0,
-        callback: Optional[Callable[[Event], None]] = None,
+        callback: Optional[Callable[[], None]] = None,
     ) -> Optional[Event]:
         """Start a flow of ``nbytes``.
 
         Without ``callback``, returns an event that triggers when the
         flow's bytes have drained.  With ``callback``, returns None and,
-        at the drain instant, pushes a zero-delay timeout carrying
-        ``callback`` — the calendar entry ``Event.succeed()`` would have
+        at the drain instant, pushes a zero-delay bare entry calling
+        ``callback()`` — the calendar entry ``Event.succeed()`` would have
         pushed, minus the Event (and any Condition) a caller that only
         counts completions does not need.
 
@@ -293,7 +293,7 @@ class FairShareLink:
         if flow.callback is None:
             flow.event.succeed()
         else:
-            self.env.timeout(0.0).callbacks.append(flow.callback)
+            self.env.call_in(0.0, flow.callback)
 
     def _vrate(self) -> float:
         """dV/dt: service per unit weight delivered to each active flow."""

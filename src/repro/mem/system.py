@@ -46,10 +46,10 @@ ATS_SERIALIZE_NS = 12.0
 class _Join:
     """Counts the legs of one multi-link flow; reports once, at the last.
 
-    Each leg's link pushes a zero-delay timeout carrying the join when
-    the leg drains.  The last one to pop succeeds the join's Event, or
-    pushes a zero-delay timeout carrying its ``callback``: the entry an
-    ``all_of`` over the legs pushed when it succeeded.
+    Each leg's link pushes a zero-delay bare entry calling the join
+    when the leg drains.  The last one to pop succeeds the join's Event,
+    or pushes a zero-delay bare entry calling its ``callback``: the
+    entry an ``all_of`` over the legs pushed when it succeeded.
     """
 
     __slots__ = ("env", "pending", "event", "callback")
@@ -60,13 +60,13 @@ class _Join:
         self.event = event
         self.callback = callback
 
-    def __call__(self, _event: Event) -> None:
+    def __call__(self) -> None:
         self.pending -= 1
         if not self.pending:
             if self.callback is None:
                 self.event.succeed()
             else:
-                self.env.timeout(0.0).callbacks.append(self.callback)
+                self.env.call_in(0.0, self.callback)
 
 
 @dataclass
@@ -268,7 +268,7 @@ class MemorySystem:
         node_id: int,
         nbytes: float,
         from_socket: int,
-        callback: Optional[Callable[[Event], None]] = None,
+        callback: Optional[Callable[[], None]] = None,
     ) -> Optional[Event]:
         """Stream ``nbytes`` out of a node (adds UPI flow when remote).
 
@@ -282,7 +282,7 @@ class MemorySystem:
         node_id: int,
         nbytes: float,
         from_socket: int,
-        callback: Optional[Callable[[Event], None]] = None,
+        callback: Optional[Callable[[], None]] = None,
     ) -> Optional[Event]:
         return self._flow(node_id, nbytes, from_socket, True, callback)
 
@@ -292,7 +292,7 @@ class MemorySystem:
         nbytes: float,
         from_socket: int,
         write: bool,
-        callback: Optional[Callable[[Event], None]],
+        callback: Optional[Callable[[], None]],
     ) -> Optional[Event]:
         key = (node_id, from_socket, write)
         route = self._routes.get(key)

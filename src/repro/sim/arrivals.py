@@ -30,9 +30,9 @@ so ``times(1_000_000)`` in one call, the same million via ``next_gap``
 one at a time, or any mix, produce identical instants — which is what
 makes serial and ``--jobs N`` runs draw-for-draw identical.
 
-:func:`open_loop` is the driver: a process that walks an arrival
-process and invokes a handler per arrival, keeping exactly one pending
-timer regardless of horizon length.
+:func:`open_loop` is the driver: a chain of bare calendar entries that
+walks an arrival process and invokes a handler per arrival, keeping
+exactly one pending timer regardless of horizon length.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.sim.engine import Environment, Interrupt, Process
+from repro.sim.engine import Environment, Event, Interrupt, SimulationError
 from repro.sim.rng import DEFAULT_BATCH, derive, make_rng
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "PoissonProcess",
     "BurstyProcess",
     "DiurnalProcess",
+    "OpenLoop",
     "open_loop",
 ]
 
@@ -252,6 +253,110 @@ class DiurnalProcess(ArrivalProcess):
         return out
 
 
+class OpenLoop(Event):
+    """The :func:`open_loop` driver; triggers when it stops.
+
+    Its value is the number of arrivals delivered.  It is an event, so
+    a process can ``yield`` it, but it runs as bare calendar entries
+    (:meth:`~repro.sim.engine.Environment.call_in`), not as a generator
+    process: a boot entry, one entry per arrival gap, and a zero-delay
+    entry per :meth:`interrupt` — each pushed where the generator form
+    pushed its boot event, gap timeout and interrupt kicker.
+    """
+
+    __slots__ = ("source", "handler", "count", "until", "start", "delivered")
+
+    def __init__(
+        self,
+        env: Environment,
+        source: ArrivalProcess,
+        handler: Callable[[int, float], object],
+        count: Optional[int],
+        until: Optional[float],
+        start: float,
+    ):
+        super().__init__(env)
+        self.source = source
+        self.handler = handler
+        self.count = count
+        self.until = until
+        self.start = start
+        self.delivered = 0
+        env.call_in(0.0, self._boot)
+
+    def cancel(self) -> bool:
+        """A driver cannot be cancelled — use :meth:`interrupt`."""
+        raise SimulationError("cannot cancel an open_loop driver; use interrupt()")
+
+    def interrupt(self, cause: object = None) -> None:
+        """Stop the driver at the current time, keeping what it delivered.
+
+        The stop lands when a zero-delay entry pops, so a handler that
+        interrupts its own driver still sees the next gap drawn and its
+        timer armed; that timer then pops as a no-op.  Interrupting a
+        stopped driver does nothing.
+        """
+        if not self._triggered:
+            self.env.call_in(0.0, self._stop)
+
+    def _stop(self) -> None:
+        if not self._triggered:
+            self._finish()
+
+    def _finish(self, exc: Optional[Exception] = None) -> None:
+        """Trigger with the count delivered, or fail with ``exc``.
+
+        Drops the handler and the source first: a handler usually
+        closes over the model that holds this driver, and that cycle
+        would keep the whole model alive until a full garbage
+        collection.
+        """
+        self.handler = self.source = None
+        if exc is None:
+            self.succeed(self.delivered)
+        else:
+            self.fail(exc)
+
+    def _boot(self) -> None:
+        if self.start > 0.0:
+            self.env.call_in(self.start, self._next)
+        else:
+            self._next()
+
+    def _next(self) -> None:
+        """Arm the timer for the next arrival, or stop."""
+        if self._triggered:  # interrupted while waiting for ``start``
+            return
+        env = self.env
+        try:
+            count = self.count
+            if count is not None and self.delivered >= count:
+                self._finish()
+                return
+            gap = self.source.next_gap()
+            until = self.until
+            if until is not None and env._now + gap > until:
+                self._finish()
+                return
+            env.call_in(gap, self._arrive)
+        except Exception as exc:
+            self._finish(exc)
+
+    def _arrive(self) -> None:
+        if self._triggered:  # the timer pending when an interrupt landed
+            return
+        try:
+            self.handler(self.delivered, self.env._now)
+        except Interrupt:
+            self._finish()
+            return
+        except Exception as exc:
+            self._finish(exc)
+            return
+        self.delivered += 1
+        self._next()
+
+
 def open_loop(
     env: Environment,
     source: ArrivalProcess,
@@ -259,39 +364,25 @@ def open_loop(
     count: Optional[int] = None,
     until: Optional[float] = None,
     start: float = 0.0,
-) -> Process:
+) -> OpenLoop:
     """Drive ``handler(index, now)`` at each arrival instant.
 
-    Runs as an engine process holding exactly one pending timer, so an
-    arbitrarily long horizon costs O(1) calendar space from the driver
-    itself (the *handled* work is what piles up — that is the model's
-    business).  Stops after ``count`` arrivals, or at the first arrival
-    strictly past ``until`` (an arrival landing *exactly* on ``until``
-    is still delivered), whichever comes first; the process event's
-    value is the number of arrivals delivered.
+    Runs as a chain of bare calendar entries holding exactly one
+    pending timer (:class:`OpenLoop`), so an arbitrarily long horizon
+    costs O(1) calendar space from the driver itself (the *handled*
+    work is what piles up — that is the model's business).  Stops
+    after ``count`` arrivals, or at the first arrival strictly past
+    ``until`` (an arrival landing *exactly* on ``until`` is still
+    delivered), whichever comes first; the returned event's value is
+    the number of arrivals delivered.  The first gap is drawn at
+    ``start``.
 
-    Interrupting the driver (:meth:`~repro.sim.engine.Process.interrupt`,
-    e.g. from a handler that decides to stop the flood mid-run) is a
-    clean stop, not a failure: the pending timer is abandoned and the
-    process finishes with the arrivals delivered so far.
+    Interrupting the driver (:meth:`OpenLoop.interrupt`, e.g. from a
+    handler that decides to stop the flood mid-run) is a clean stop,
+    not a failure: the pending timer is abandoned and the driver
+    finishes with the arrivals delivered so far.  An exception from
+    the handler or the arrival source fails the driver's event.
     """
     if count is None and until is None:
         raise ValueError("open_loop needs a stopping rule: count and/or until")
-
-    def _driver():
-        delivered = 0
-        try:
-            if start > 0.0:
-                yield env.timeout(start)
-            while count is None or delivered < count:
-                gap = source.next_gap()
-                if until is not None and env.now + gap > until:
-                    break
-                yield env.timeout(gap)
-                handler(delivered, env.now)
-                delivered += 1
-        except Interrupt:
-            pass
-        return delivered
-
-    return env.process(_driver(), name="open_loop")
+    return OpenLoop(env, source, handler, count, until, start)

@@ -105,7 +105,8 @@ Entry = Tuple[float, int, int, object]
 class TimingWheel:
     """Two-level timing wheel with far overflow; pops in heap order.
 
-    Entries are the engine's ``(when, priority, seq, event)`` tuples.
+    Entries are the engine's ``(when, priority, seq, item)`` tuples,
+    where the item is an event or a bare entry's callable.
     ``push`` is amortized O(1); ``pop_due`` returns entries in exact
     ``(when, priority, seq)`` order, the same total order a binary heap
     of the same tuples produces.  Cancelled-entry discard stays the

@@ -1,10 +1,25 @@
 """Core event loop: simulated clock, events, and generator processes.
 
 The engine follows the classic event-calendar design: a calendar of
-``(time, priority, sequence, event)`` entries, popped in order.  Model
-code is written as generator functions ("processes") that ``yield``
-events; when a yielded event triggers, the process is resumed with the
-event's value.
+``(time, priority, sequence, item)`` entries, popped in order.  An item
+is either an :class:`Event`, whose callbacks run when it pops, or a
+plain callable pushed by :meth:`Environment.call_in` (a *bare entry*),
+which is simply called.  Model code is written as generator functions
+("processes") that ``yield`` events; when a yielded event triggers, the
+process is resumed with the event's value.
+
+Three forms, by who waits (docs/ARCHITECTURE.md, Layer 1):
+
+* a bare entry for one hop of a fixed chain that exactly one party
+  continues — a per-descriptor stage, a flow report, an arrival;
+* an :class:`Event` for a wait that several parties may share, or that
+  must be cancellable or yieldable;
+* a :class:`Process` for a long-lived loop.
+
+A bare entry takes its ``seq`` from the same counter at the point of
+the push, so a model moved from ``timeout(d).callbacks.append(fn)`` to
+``call_in(d, fn)`` pops in exactly the same order.  Bare entries are
+never cancelled.
 
 The calendar has two interchangeable backends (``Environment(calendar=
 ...)``, CLI ``--calendar``): the default binary heap, byte-identical to
@@ -18,10 +33,11 @@ order, so a model never observes which one is underneath.
 
 The engine also recycles :class:`Timeout` objects through a bounded
 free list (``Environment(timeout_pool=...)``): ``yield env.timeout()``
-is the dominant allocation of every model loop, and after a timeout's
-callbacks run the run loop proves via refcount that nobody else holds
-it, then resets it in place for the next ``timeout()`` call instead of
-letting it churn the allocator.
+inside generator processes and the links' cancellable wake timers
+still allocate one per entry, and after a timeout's callbacks run the
+run loop proves via refcount that nobody else holds it, then resets it
+in place for the next ``timeout()`` call instead of letting it churn
+the allocator.
 """
 
 from __future__ import annotations
@@ -62,6 +78,18 @@ CALENDAR_COMPACT_THRESHOLD = 64
 DEFAULT_TIMEOUT_POOL = 1024
 
 
+#: :class:`Event` and every subclass (``Event.__init_subclass__`` adds
+#: them): the run loops tell an event from a bare entry's callable by
+#: one set lookup on ``type(item)``, which costs no call.
+_EVENT_TYPES: set = set()
+
+
+def _is_dead(entry) -> bool:
+    """True for a cancelled Event's calendar entry (bare entries never are)."""
+    item = entry[3]
+    return type(item) in _EVENT_TYPES and item._cancelled
+
+
 class SimulationError(RuntimeError):
     """Raised for illegal engine operations (double trigger, bad yield)."""
 
@@ -98,6 +126,10 @@ class Event:
         "_defused",
         "_cancelled",
     )
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _EVENT_TYPES.add(cls)
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -144,6 +176,8 @@ class Event:
             raise SimulationError("event already triggered")
         if self._cancelled:
             raise SimulationError("event was cancelled")
+        if delay < 0:
+            raise ValueError(f"negative event delay: {delay!r}")
         self._triggered = True
         self._ok = True
         self._value = value
@@ -163,6 +197,8 @@ class Event:
             raise SimulationError("event was cancelled")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        if delay < 0:
+            raise ValueError(f"negative event delay: {delay!r}")
         self._triggered = True
         self._ok = False
         self._value = exception
@@ -207,6 +243,9 @@ class Event:
     def defuse(self) -> None:
         """Mark a failed event as handled so it does not crash the run."""
         self._defused = True
+
+
+_EVENT_TYPES.add(Event)
 
 
 class Timeout(Event):
@@ -498,6 +537,24 @@ class Environment:
             self._insert_slow((self._now + delay, NORMAL, self._seq, ev))
         return ev
 
+    def call_in(self, delay: float, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` after ``delay``: a bare calendar entry.
+
+        Pushes ``(now + delay, NORMAL, seq, fn)`` with ``seq`` from the
+        same counter as every other entry, so it pops exactly where
+        ``timeout(delay).callbacks.append(fn)`` would — without the
+        :class:`Timeout`, its callbacks list, or the pool check on
+        retire.  For one hop of a fixed chain that nobody else waits on:
+        the entry cannot be cancelled, yielded or waited for.
+        """
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay!r}")
+        self._seq += 1
+        if self._fast:
+            _heappush(self._calendar, (self._now + delay, NORMAL, self._seq, fn))
+        else:
+            self._insert_slow((self._now + delay, NORMAL, self._seq, fn))
+
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 
@@ -547,7 +604,7 @@ class Environment:
         dead = 0
         push = wheel.push
         for entry in calendar:
-            if entry[3]._cancelled:
+            if _is_dead(entry):
                 dead += 1
             else:
                 push(entry)
@@ -576,11 +633,11 @@ class Environment:
         """
         wheel = self._wheel
         if wheel is not None:
-            self._stale_timers += wheel.compact(lambda entry: entry[3]._cancelled)
+            self._stale_timers += wheel.compact(_is_dead)
             self._dead_entries = 0
             return
         calendar = self._calendar
-        live = [entry for entry in calendar if not entry[3]._cancelled]
+        live = [entry for entry in calendar if not _is_dead(entry)]
         self._stale_timers += len(calendar) - len(live)
         calendar[:] = live
         heapq.heapify(calendar)
@@ -605,21 +662,22 @@ class Environment:
                 entry = wheel.peek()
                 if entry is None:
                     return float("inf")
-                if entry[3]._cancelled:
+                if _is_dead(entry):
                     wheel.pop_due(float("inf"))
                     self._stale_timers += 1
                     self._dead_entries -= 1
                     continue
                 return entry[0]
         calendar = self._calendar
-        while calendar and calendar[0][3]._cancelled:
+        while calendar and _is_dead(calendar[0]):
             _heappop(calendar)
             self._stale_timers += 1
             self._dead_entries -= 1
         return calendar[0][0] if calendar else float("inf")
 
     def step(self) -> None:
-        """Process exactly one live event from the calendar.
+        """Process exactly one live entry from the calendar: call a bare
+        entry's function, or run an event's callbacks.
 
         Cancelled entries encountered on the way are discarded without
         advancing the clock — they never happened.
@@ -635,6 +693,10 @@ class Environment:
                 if not self._calendar:
                     raise SimulationError("empty calendar")
                 when, _prio, _seq, event = _heappop(self._calendar)
+            if type(event) not in _EVENT_TYPES:  # bare entry
+                self._now = when
+                event()
+                return
             if event._cancelled:
                 self._stale_timers += 1
                 self._dead_entries -= 1
@@ -654,7 +716,9 @@ class Environment:
         The body of :meth:`step` is inlined here (with locals bound for
         the heap and calendar) — one method call and one bounds check
         per event add up over the millions of events a sweep processes.
-        Semantics are identical to calling :meth:`step` in a loop.
+        Semantics are identical to calling :meth:`step` in a loop.  A
+        bare entry (:meth:`call_in`) is told apart from an event by one
+        set lookup on its type and simply called.
 
         Retired :class:`Timeout` objects are recycled here: after an
         event's callbacks run (or a cancelled entry is discarded), a
@@ -670,6 +734,7 @@ class Environment:
             raise ValueError(f"until ({until}) is in the past (now={self._now})")
         pool = self._timeout_pool
         pool_limit = self._pool_limit
+        event_types = _EVENT_TYPES
         timeout_cls = Timeout
         refcount = getrefcount
         try:
@@ -685,6 +750,10 @@ class Environment:
                         self._now = until
                         return
                     when, _prio, _seq, event = pop(calendar)
+                    if type(event) not in event_types:  # bare entry
+                        self._now = when
+                        event()
+                        continue
                     if event._cancelled:
                         # Lazily discard; the clock does not advance for
                         # a timer that was cancelled before it fired.
@@ -744,6 +813,7 @@ class Environment:
         ``until``.
         """
         limit = float("inf") if until is None else until
+        event_types = _EVENT_TYPES
         timeout_cls = Timeout
         refcount = getrefcount
         while True:
@@ -778,6 +848,10 @@ class Environment:
                     consumed += 1
                     when, _prio, _seq, event = entry
                     entry = None
+                    if type(event) not in event_types:  # bare entry
+                        self._now = when
+                        event()
+                        continue
                     if event._cancelled:
                         self._stale_timers += 1
                         self._dead_entries -= 1

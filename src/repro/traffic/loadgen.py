@@ -43,8 +43,8 @@ from repro.fleet.scheduler import FleetScheduler
 from repro.fleet.topology import FleetSpec, active_fleet
 from repro.mem.address import AddressSpace
 from repro.platform import Platform, fleet_platform, spr_platform
-from repro.sim.arrivals import open_loop
-from repro.sim.engine import Environment, Event, Process
+from repro.sim.arrivals import OpenLoop, open_loop
+from repro.sim.engine import Environment, Event
 from repro.traffic.profile import TenantSpec, TrafficProfile
 from repro.traffic.slo import SloAccountant
 
@@ -148,12 +148,13 @@ class _TenantState:
 
 
 class _DsaRequest:
-    """One open-loop DSA request, driven by event callbacks.
+    """One open-loop DSA request, driven by callbacks.
 
     Placement, ENQCMD attempts with capped exponential backoff, the
     completion wait and (under fleet placement) failover to a surviving
-    device.  Each stage pushes the calendar entry a generator yielding
-    the same event would push, and hangs the next stage on it.
+    device.  Each fixed hop pushes a bare calendar entry carrying the
+    next stage where a generator would have yielded a timeout; the
+    completion wait hangs on the descriptor's completion event.
     """
 
     __slots__ = (
@@ -174,7 +175,7 @@ class _DsaRequest:
         self.state = state
         self.arrived = arrived
 
-    def start(self, _event: Event) -> None:
+    def start(self) -> None:
         gen = self.gen
         state = self.state
         spec = state.spec
@@ -226,12 +227,11 @@ class _DsaRequest:
         self.wq = device.wq(wq_id)
         self._enqcmd()
 
-    def _enqcmd(self, _event: Optional[Event] = None) -> None:
+    def _enqcmd(self) -> None:
         # Each attempt pays the full non-posted ENQCMD round trip.
-        env = self.gen.platform.env
-        env.timeout(self.device.timing.enqcmd_ns).callbacks.append(self._submit)
+        self.gen.platform.env.call_in(self.device.timing.enqcmd_ns, self._submit)
 
-    def _submit(self, _event: Event) -> None:
+    def _submit(self) -> None:
         spec = self.state.spec
         if self.device.submit(self.descriptor, self.wq_id, source=spec.name):
             if self.attempts:
@@ -247,10 +247,10 @@ class _DsaRequest:
             self.wq.record_retries(attempts, source=spec.name)
             self._drop()
             return
-        env = self.gen.platform.env
-        env.timeout(
-            min(spec.backoff_base_ns * (2.0 ** (attempts - 1)), spec.backoff_cap_ns)
-        ).callbacks.append(self._enqcmd)
+        self.gen.platform.env.call_in(
+            min(spec.backoff_base_ns * (2.0 ** (attempts - 1)), spec.backoff_cap_ns),
+            self._enqcmd,
+        )
 
     def _completed(self, _event: Event) -> None:
         gen = self.gen
@@ -332,7 +332,7 @@ class LoadGenerator:
         self.space = AddressSpace()
         self.cpu_pool: Optional[CpuServicePool] = None
         self._states: List[_TenantState] = []
-        self._drivers: List[Process] = []
+        self._drivers: List[OpenLoop] = []
         self._finalized_totals: Optional[Dict[str, int]] = None
 
         env = platform.env
@@ -419,7 +419,7 @@ class LoadGenerator:
         return counts
 
     # -- lifecycle --------------------------------------------------------
-    def start(self) -> List[Process]:
+    def start(self) -> List[OpenLoop]:
         """Launch one open-loop driver per tenant; returns the drivers."""
         if self._drivers:
             raise RuntimeError("LoadGenerator.start called twice")
@@ -444,7 +444,7 @@ class LoadGenerator:
         else:
             def on_arrival(index: int, now: float) -> None:
                 # Boot entry: the request starts when this pops.
-                env.timeout(0.0).callbacks.append(_DsaRequest(self, state, now).start)
+                env.call_in(0.0, _DsaRequest(self, state, now).start)
         return on_arrival
 
     # -- CPU completion path ----------------------------------------------

@@ -11,10 +11,22 @@ from repro.dsa.wq import WorkQueue
 from repro.sim import Environment
 
 
+class _Pe:
+    """The arbiter's hand-off target: it sets ``_descriptor`` and pushes
+    a zero-delay entry to ``_dispatch`` (never run here)."""
+
+    _descriptor = None
+
+    def _dispatch(self):
+        pass
+
+
 def drain(arbiter, count):
+    pe = _Pe()
     for _ in range(count):
-        event = arbiter.get()
-        assert event.triggered, "arbiter starved with work pending"
+        pe._descriptor = None
+        arbiter.request(pe)
+        assert pe._descriptor is not None, "arbiter starved with work pending"
 
 
 @settings(max_examples=30, deadline=None)

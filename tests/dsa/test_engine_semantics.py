@@ -225,5 +225,5 @@ class TestModelErrors:
             with pytest.raises(ModelBug):
                 platform.env.run()
         (engine,) = [pe for group in device.groups.values() for pe in group.engines]
-        assert engine.read_buffers.in_use == 0
+        assert engine.free_read_buffers == engine.read_buffers
         assert descriptor.completion.status == StatusCode.NONE

@@ -84,10 +84,12 @@ class TestQosEffect:
     def test_engine_pipeline_capacity_follows_group(self):
         platform = spr_platform(device_config=config_with_buffers(3))
         engine = platform.driver.device("dsa0").groups[0].engines[0]
-        assert engine.read_buffers.capacity == 3
+        assert engine.read_buffers == 3
+        assert engine.free_read_buffers == 3
 
     def test_default_when_not_overridden(self):
         platform = spr_platform()
         engine = platform.driver.device("dsa0").groups[0].engines[0]
         timing = platform.driver.device("dsa0").timing
-        assert engine.read_buffers.capacity == timing.read_buffers_per_engine
+        assert engine.read_buffers == timing.read_buffers_per_engine
+        assert engine.free_read_buffers == engine.read_buffers

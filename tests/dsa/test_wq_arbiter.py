@@ -18,6 +18,19 @@ def make_desc(size=64):
     return WorkDescriptor(Opcode.MEMMOVE, size=size)
 
 
+class RecordingPe:
+    """Stands in for a PE on the arbiter's hand-off: the arbiter sets
+    ``_descriptor`` and pushes a zero-delay entry to ``_dispatch``."""
+
+    def __init__(self, env):
+        self.env = env
+        self._descriptor = None
+        self.dispatched = []
+
+    def _dispatch(self):
+        self.dispatched.append((self.env.now, self._descriptor))
+
+
 class TestWorkQueue:
     def test_submit_and_occupancy(self):
         env = Environment()
@@ -83,27 +96,42 @@ class TestGroupArbiter:
         arbiter = GroupArbiter(env, wqs)
         desc = make_desc()
         wqs[0].submit(desc)
-        event = arbiter.get()
-        assert event.triggered and event.value is desc
+        pe = RecordingPe(env)
+        arbiter.request(pe)
+        assert pe._descriptor is desc
+        assert pe.dispatched == []  # the dispatch is a calendar entry
+        env.run()
+        assert pe.dispatched == [(0.0, desc)]
 
     def test_pe_blocks_until_submission(self):
         env = Environment()
         wqs = self._wqs(env, [1])
         arbiter = GroupArbiter(env, wqs)
-        got = []
-
-        def pe(env):
-            descriptor = yield arbiter.get()
-            got.append((env.now, descriptor))
+        pe = RecordingPe(env)
+        desc = make_desc()
+        arbiter.request(pe)
 
         def producer(env):
             yield env.timeout(9.0)
-            wqs[0].submit(make_desc())
+            wqs[0].submit(desc)
 
-        env.process(pe(env))
         env.process(producer(env))
         env.run()
-        assert got and got[0][0] == 9.0
+        assert pe.dispatched == [(9.0, desc)]
+
+    def test_waiting_pes_served_in_request_order(self):
+        env = Environment()
+        wqs = self._wqs(env, [1])
+        arbiter = GroupArbiter(env, wqs)
+        first, second = RecordingPe(env), RecordingPe(env)
+        arbiter.request(first)
+        arbiter.request(second)
+        a, b = make_desc(), make_desc()
+        wqs[0].submit(a)
+        wqs[0].submit(b)
+        env.run()
+        assert first.dispatched == [(0.0, a)]
+        assert second.dispatched == [(0.0, b)]
 
     def test_priority_weighting(self):
         """A priority-3 WQ should be served ~3x as often as priority-1."""
@@ -113,8 +141,9 @@ class TestGroupArbiter:
         for _ in range(40):
             wqs[0].submit(make_desc())
             wqs[1].submit(make_desc())
+        pe = RecordingPe(env)
         for _ in range(40):
-            arbiter.get()
+            arbiter.request(pe)
         drained_0 = 40 - wqs[0].occupancy
         drained_1 = 40 - wqs[1].occupancy
         assert drained_0 + drained_1 == 40
@@ -127,8 +156,9 @@ class TestGroupArbiter:
         for _ in range(32):
             wqs[0].submit(make_desc())
             wqs[1].submit(make_desc())
+        pe = RecordingPe(env)
         for _ in range(32):
-            arbiter.get()
+            arbiter.request(pe)
         assert 32 - wqs[1].occupancy >= 2  # low-priority WQ still served
 
     def test_empty_wq_list_rejected(self):

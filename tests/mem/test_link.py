@@ -398,7 +398,8 @@ def _drive(env, streams, transfer):
     def step(idx, k):
         _start, weight, sizes = streams[idx]
 
-        def done(_event):
+        def done(_event=None):
+            # Called with the drained flow's Event, or bare (callback=).
             log.append(("done", idx, k, env.now))
             if k + 1 < len(sizes):
                 step(idx, k + 1)
@@ -427,7 +428,7 @@ def _joins_at_drain(streams, log):
 
 class TestCallbackVsEvent:
     """``transfer(callback=)`` reports exactly when and in the order the
-    Event form does: its zero-delay timeout takes the calendar entry
+    Event form does: its zero-delay bare entry takes the calendar entry
     ``Event.succeed()`` took.  Each completion starts the stream's next
     flow, so a report one entry late would move that join against the
     link's other same-instant joins and wakes.  Sizes, start times and

@@ -1,0 +1,394 @@
+"""Bare calendar entries (``Environment.call_in``) and event delays.
+
+A bare entry pushes ``(when, NORMAL, seq, fn)`` and the run loops call
+``fn()`` when it pops.  It must pop exactly where the Timeout form —
+``env.timeout(delay).callbacks.append(...)`` — would, on every
+calendar backend, mixed with Timeouts, ``Event.succeed`` entries and
+cancellations: same callback log, same clock, same ``seq`` count.
+The open-loop arrival driver, a chain of bare entries, must likewise
+match the generator process it replaced.
+"""
+
+import gc
+import random
+import weakref
+
+import pytest
+
+import repro.sim.engine as engine_mod
+from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim.arrivals import open_loop
+
+BACKENDS = ["heap", "wheel", "auto"]
+
+#: A grid with repeats so many entries share an instant: ties are where
+#: a misplaced ``seq`` would show.
+DELAYS = [0.0, 0.0, 0.0, 1.0, 2.0, 2.0, 5.0, 12.5, 40.0]
+
+
+# -- negative delays -------------------------------------------------------
+
+
+class TestNegativeDelay:
+    def _at_ten(self, action):
+        """Run ``action(env)`` from a callback at t=10; return the env."""
+        env = Environment()
+        env.timeout(10.0).callbacks.append(lambda _ev: action(env))
+        return env
+
+    def test_succeed_rejects_negative_delay(self):
+        fired = []
+
+        def action(env):
+            event = env.event()
+            event.callbacks.append(lambda ev: fired.append(env.now))
+            with pytest.raises(ValueError, match="negative"):
+                event.succeed(delay=-5.0)
+            assert not event.triggered
+            event.succeed()
+
+        env = self._at_ten(action)
+        env.run()
+        assert fired == [10.0]
+        assert env.now == 10.0
+
+    def test_fail_rejects_negative_delay(self):
+        def action(env):
+            event = env.event()
+            with pytest.raises(ValueError, match="negative"):
+                event.fail(RuntimeError("boom"), delay=-3.0)
+            assert not event.triggered
+
+        env = self._at_ten(action)
+        env.run()
+        assert env.now == 10.0
+
+    def test_call_in_rejects_negative_delay(self):
+        env = Environment()
+        with pytest.raises(ValueError, match="negative"):
+            env.call_in(-1.0, lambda: None)
+        assert env._seq == 0
+
+
+# -- differential: bare form vs Timeout form -------------------------------
+
+
+def _program(seed, size=160):
+    """A random forest of scheduling actions.
+
+    Each node is ``(kind, delay, children)``; the roots are hops.  When
+    a node fires it logs itself and schedules its children.  Kinds: ``hop`` and
+    ``reaper`` (a bare entry in the bare form, a Timeout with one
+    callback in the Timeout form), ``timeout`` and ``succeed`` (always
+    Events), and ``doomed`` (a burst of far Timeouts cancelled before
+    they can pop).  A reaper cancels every doomed timer still pending.
+    """
+    rng = random.Random(seed)
+    kinds = ["hop"] * 6 + ["timeout", "succeed", "doomed", "doomed", "doomed", "reaper"]
+    budget = [size]
+
+    def node(kind):
+        budget[0] -= 1
+        children = []
+        while kind != "doomed" and budget[0] > 0 and rng.random() < 0.6:
+            children.append(node(rng.choice(kinds)))
+        return (kind, rng.choice(DELAYS), children)
+
+    roots = []
+    while budget[0] > 0:
+        roots.append(node("hop"))
+    return roots
+
+
+#: Doomed timers come in bursts and sit beyond every live entry; a
+#: sweeper Timeout at ``SWEEP_AT`` cancels the ones no reaper reached.
+#: A reaper cancelling a few bursts at once crosses the engine's
+#: compaction threshold and compacts the calendar around the bare
+#: entries.
+DOOMED_BURST = 24
+DOOMED_AT = 1e6
+SWEEP_AT = 5e5
+
+
+def _execute(program, backend, bare):
+    env = Environment(calendar=backend)
+    log = []
+    doomed = []
+    ids = iter(range(10**6))
+
+    def reap():
+        for timer in doomed:
+            timer.cancel()
+        doomed.clear()
+
+    def schedule(node):
+        kind, delay, children = node
+        name = next(ids)
+
+        def fire():
+            log.append((name, kind, env.now))
+            if kind == "reaper":
+                reap()
+            for child in children:
+                schedule(child)
+
+        if kind in ("hop", "reaper"):
+            if bare:
+                env.call_in(delay, fire)
+            else:
+                env.timeout(delay).callbacks.append(lambda _ev: fire())
+        elif kind == "timeout":
+            env.timeout(delay).callbacks.append(lambda _ev: fire())
+        elif kind == "succeed":
+            event = env.event()
+            event.callbacks.append(lambda _ev: fire())
+            event.succeed(delay=delay)
+        else:
+            for k in range(DOOMED_BURST):
+                timer = env.timeout(DOOMED_AT + delay + k)
+                timer.callbacks.append(lambda _ev: log.append((name, "BUG", env.now)))
+                doomed.append(timer)
+
+    for root in program:
+        schedule(root)
+    env.timeout(SWEEP_AT).callbacks.append(lambda _ev: reap())
+    env.run()
+    assert not any(kind == "BUG" for _n, kind, _t in log)
+    return log, env.now, env._seq, env.stale_timers, env.using_wheel
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_bare_form_matches_timeout_form(monkeypatch, backend, seed):
+    if backend == "auto":
+        # Promote mid-run: the program keeps far more than 24 pending.
+        monkeypatch.setattr(engine_mod, "AUTO_PROMOTE_THRESHOLD", 24)
+    compactions = []
+    compact = Environment._compact
+
+    def counting_compact(env):
+        compactions.append(env)
+        compact(env)
+
+    monkeypatch.setattr(Environment, "_compact", counting_compact)
+    program = _program(seed)
+    reference = _execute(program, "heap", bare=False)
+    timeout_form = _execute(program, backend, bare=False)
+    del compactions[:]
+    bare_form = _execute(program, backend, bare=True)
+    assert compactions  # cancel-triggered, with bare entries pending
+    assert bare_form[:4] == timeout_form[:4] == reference[:4]
+    fired = {kind for _n, kind, _t in bare_form[0]}
+    assert fired == {"hop", "timeout", "succeed", "reaper"}
+    assert bare_form[3] > 0  # doomed timers were cancelled and swept
+    if backend == "auto":
+        assert bare_form[4] and timeout_form[4]  # both promoted mid-run
+
+
+# -- compaction, promotion, peek, step and run(until=) ---------------------
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cancel_compaction_keeps_bare_entries(backend):
+    env = Environment(calendar=backend)
+    fired = []
+    for i in range(100):
+        env.call_in(float(i % 7), lambda i=i: fired.append(i))
+    timers = [env.timeout(3.0 + i) for i in range(200)]
+    for timer in timers:
+        timer.cancel()
+    assert env.stale_timers > 0  # swept in bulk, not popped
+    env.run()
+    assert sorted(fired) == list(range(100))
+    assert fired == sorted(range(100), key=lambda i: (i % 7, i))
+    assert env.now == 6.0
+    assert env.stale_timers == 200
+
+
+def test_promotion_carries_bare_entries(monkeypatch):
+    monkeypatch.setattr(engine_mod, "AUTO_PROMOTE_THRESHOLD", 32)
+    env = Environment(calendar="auto")
+    fired = []
+    doomed = [env.timeout(float(i)) for i in range(10)]
+    for timer in doomed:
+        timer.cancel()
+    for i in range(40):
+        env.call_in(float(i), lambda i=i: fired.append(i))
+    assert env.using_wheel
+    assert env.stale_timers == 10  # cancelled ones dropped on the way
+    env.run()
+    assert fired == list(range(40))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_peek_skips_dead_head_onto_bare_entry(backend):
+    env = Environment(calendar=backend)
+    env.timeout(3.0).cancel()
+    env.call_in(5.0, lambda: None)
+    assert env.peek() == 5.0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_step_runs_a_bare_head(backend):
+    env = Environment(calendar=backend)
+    fired = []
+    env.timeout(1.0).cancel()
+    env.call_in(2.0, lambda: fired.append(env.now))
+    env.call_in(4.0, lambda: fired.append(env.now))
+    env.step()
+    assert fired == [2.0] and env.now == 2.0
+    env.step()
+    assert fired == [2.0, 4.0] and env.now == 4.0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_run_until_lands_on_a_bare_head(backend):
+    env = Environment(calendar=backend)
+    fired = []
+    env.call_in(5.0, lambda: fired.append(env.now))
+    env.call_in(9.0, lambda: fired.append(env.now))
+    env.run(until=4.5)
+    assert fired == [] and env.now == 4.5
+    env.run(until=5.0)  # an entry exactly at ``until`` runs
+    assert fired == [5.0] and env.now == 5.0
+    env.run()
+    assert fired == [5.0, 9.0] and env.now == 9.0
+
+
+def test_bare_entry_exception_propagates():
+    env = Environment()
+
+    def boom():
+        raise KeyError("model bug")
+
+    env.call_in(1.0, boom)
+    with pytest.raises(KeyError):
+        env.run()
+    assert env.now == 1.0
+
+
+# -- the open-loop driver --------------------------------------------------
+
+
+def _generator_open_loop(env, source, handler, count=None, until=None, start=0.0):
+    """The generator-process form of ``open_loop``: the reference."""
+
+    def driver():
+        delivered = 0
+        try:
+            if start > 0.0:
+                yield env.timeout(start)
+            while count is None or delivered < count:
+                gap = source.next_gap()
+                if until is not None and env.now + gap > until:
+                    break
+                yield env.timeout(gap)
+                handler(delivered, env.now)
+                delivered += 1
+        except Interrupt:
+            pass
+        return delivered
+
+    return env.process(driver())
+
+
+class _GridGaps:
+    """Gaps on a coarse grid, so arrivals tie with the other entries."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def next_gap(self):
+        return self.rng.choice([0.0, 1.0, 2.0, 5.0])
+
+
+def _drive_open_loop(make_driver, seed):
+    rng = random.Random(seed)
+    count = rng.choice([None, 0, 1, 7, 30])
+    until = rng.choice([None, 20.0, 60.0]) if count is not None else 40.0
+    start = rng.choice([0.0, 0.0, 3.0])
+    stop_at = rng.choice([None, 0, 4])
+    env = Environment()
+    log = []
+    driver = None
+
+    def handler(index, now):
+        log.append(("arrival", index, now))
+        env.timeout(rng.choice([0.0, 1.0])).callbacks.append(
+            lambda _ev: log.append(("served", index, env.now))
+        )
+        if index == stop_at:
+            driver.interrupt("stop")
+
+    def waiter():
+        delivered = yield driver
+        log.append(("exit", delivered, env.now))
+
+    driver = make_driver(env, _GridGaps(seed), handler, count=count, until=until, start=start)
+    env.process(waiter())
+    for t in (0.0, 2.0, 3.0, 9.0):
+        env.timeout(t).callbacks.append(lambda _ev, t=t: log.append(("tick", t, env.now)))
+    env.run()
+    return log, env.now, env._seq, driver.value
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_open_loop_matches_generator_form(seed):
+    assert _drive_open_loop(open_loop, seed) == _drive_open_loop(_generator_open_loop, seed)
+
+
+def test_open_loop_interrupted_while_waiting_for_start():
+    env = Environment()
+    hits = []
+    driver = open_loop(env, _GridGaps(0), lambda i, t: hits.append(t), count=5, start=10.0)
+    env.timeout(4.0).callbacks.append(lambda _ev: driver.interrupt())
+    env.run()
+    assert hits == [] and driver.value == 0
+    assert env.now == 10.0  # the abandoned start timer still pops
+    driver.interrupt()  # a stopped driver ignores further interrupts
+
+
+def test_open_loop_handler_error_fails_the_driver():
+    env = Environment()
+
+    def handler(index, now):
+        if index == 2:
+            raise KeyError("model bug")
+
+    driver = open_loop(env, _GridGaps(1), handler, count=10)
+    with pytest.raises(KeyError):
+        env.run()
+    assert driver.triggered and not driver.ok
+
+
+def test_open_loop_driver_cannot_be_cancelled():
+    env = Environment()
+    driver = open_loop(env, _GridGaps(2), lambda i, t: None, count=3)
+    with pytest.raises(SimulationError, match="interrupt"):
+        driver.cancel()
+    env.run()
+    assert driver.value == 3
+
+
+def test_finished_driver_releases_its_handler():
+    # A handler closing over the model that holds its driver makes a
+    # cycle; a stopped driver must break it, or every finished sweep
+    # point stays alive until a full garbage collection.
+    class Model:
+        def on_arrival(self, index, now):
+            pass
+
+    env = Environment()
+    model = Model()
+    model.driver = open_loop(env, _GridGaps(3), model.on_arrival, count=3)
+    env.run()
+    assert model.driver.value == 3
+    alive = weakref.ref(model)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del model
+        assert alive() is None  # freed by reference counting alone
+    finally:
+        if enabled:
+            gc.enable()
