@@ -14,7 +14,7 @@ Event.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING, Union
+from typing import Deque, List, Optional, Tuple, TYPE_CHECKING, Union
 
 from repro.dsa.descriptor import BatchDescriptor, WorkDescriptor
 from repro.dsa.wq import WorkQueue
@@ -27,14 +27,26 @@ Descriptor = Union[WorkDescriptor, BatchDescriptor]
 
 
 class GroupArbiter:
-    """Dispatches descriptors from a group's WQs to waiting PEs."""
+    """Dispatches descriptors from a group's WQs to waiting PEs.
+
+    Each WQ's queue, priority and dispatch weight are read once, at
+    construction, into :attr:`_slots`; ``_current_weight[i]`` is the
+    smooth-WRR credit of ``wqs[i]``.  A pick is then one pass over the
+    slots with no per-WQ property calls or dict lookups.
+    """
 
     def __init__(self, env: Environment, wqs: List[WorkQueue]):
         if not wqs:
             raise ValueError("arbiter needs at least one WQ")
         self.env = env
         self.wqs = list(wqs)
-        self._current_weight: Dict[int, int] = {wq.wq_id: 0 for wq in wqs}
+        #: ``(wq, its queue, priority, priority as the fabric weight)``
+        #: per WQ, in group order.  A WQ keeps one queue object and its
+        #: config for life, so none of these goes stale.
+        self._slots: Tuple[Tuple[WorkQueue, Deque[Descriptor], int, float], ...] = tuple(
+            (wq, wq._items, wq.priority, float(wq.priority)) for wq in self.wqs
+        )
+        self._current_weight: List[int] = [0] * len(self.wqs)
         self._waiting_pes: List["ProcessingEngine"] = []
         self.dispatched = 0
         owner = self.wqs[0].name.rsplit(".", 1)[0]
@@ -65,22 +77,31 @@ class GroupArbiter:
             self._hand_off(self._waiting_pes.pop(0), descriptor)
 
     def _select(self) -> Optional[Descriptor]:
-        """Smooth weighted round-robin over non-empty WQs."""
-        candidates = [wq for wq in self.wqs if not wq.is_empty]
-        if not candidates:
+        """Smooth weighted round-robin over non-empty WQs.
+
+        Every non-empty WQ gains its priority in credit, the one with
+        the most credit (the first, on a tie) is served and pays back
+        the non-empty WQs' total priority.
+        """
+        weights = self._current_weight
+        best = -1
+        best_weight = total = 0
+        for i, (_wq, items, priority, _weight) in enumerate(self._slots):
+            if items:
+                weight = weights[i] + priority
+                weights[i] = weight
+                total += priority
+                if best < 0 or weight > best_weight:
+                    best = i
+                    best_weight = weight
+        if best < 0:
             return None
-        total = sum(wq.priority for wq in candidates)
-        best: Optional[WorkQueue] = None
-        for wq in candidates:
-            self._current_weight[wq.wq_id] += wq.priority
-            if best is None or self._current_weight[wq.wq_id] > self._current_weight[best.wq_id]:
-                best = wq
-        assert best is not None
-        self._current_weight[best.wq_id] -= total
+        weights[best] = best_weight - total
         self.dispatched += 1
         self._m_dispatched.add()
-        descriptor = best.pop()
+        wq, _items, _priority, dispatch_weight = self._slots[best]
+        descriptor = wq.pop()
         # The WQ's priority also shapes the descriptor's fabric share
         # while its data streams (QoS under port contention, §3.4).
-        descriptor.dispatch_weight = float(best.priority)
+        descriptor.dispatch_weight = dispatch_weight
         return descriptor

@@ -79,9 +79,10 @@ class DeviceAtc:
         if injector is not None and injector.shootdown_due():
             self.flush()
             self._count("shootdowns")
-        key = (pasid, va // self._page_size(pasid))
+        page = self._page_size(pasid)
+        key = (pasid, va // page)
         if injector is not None:
-            kind = injector.page_fault(pasid, va, self._page_size(pasid))
+            kind = injector.page_fault(pasid, va, page)
             if kind is not None:
                 # Injected fault: the stale/absent translation forces a
                 # walk that misses; drop any cached entry for the page.

@@ -20,6 +20,13 @@ from repro.dsa.opcodes import DescriptorFlags, MAX_BATCH_SIZE, MAX_TRANSFER_SIZE
 _CACHE_CONTROL = int(DescriptorFlags.CACHE_CONTROL)
 _BLOCK_ON_FAULT = int(DescriptorFlags.BLOCK_ON_FAULT)
 
+#: Opcode classes :meth:`WorkDescriptor.validate` checks against.
+_UNSIZED_OPCODES = frozenset({Opcode.NOOP, Opcode.DRAIN, Opcode.BATCH})
+_PATTERN_OPCODES = frozenset({Opcode.FILL, Opcode.COMPARE_PATTERN})
+_DIF_OPCODES = frozenset(
+    {Opcode.DIF_CHECK, Opcode.DIF_INSERT, Opcode.DIF_STRIP, Opcode.DIF_UPDATE}
+)
+
 #: Architectural size of one work descriptor in bytes.
 DESCRIPTOR_BYTES = 64
 #: Architectural size of one completion record in bytes.
@@ -99,18 +106,18 @@ class WorkDescriptor:
 
     def validate(self) -> Optional[StatusCode]:
         """Static descriptor checks the device performs before execution."""
-        if not isinstance(self.opcode, Opcode):
+        op = self.opcode
+        if not isinstance(op, Opcode):
             return StatusCode.INVALID_OPCODE
-        if self.opcode not in (Opcode.NOOP, Opcode.DRAIN, Opcode.BATCH):
+        if op not in _UNSIZED_OPCODES:
             if self.size <= 0 or self.size > MAX_TRANSFER_SIZE:
                 return StatusCode.INVALID_SIZE
-        if self.opcode in (Opcode.FILL, Opcode.COMPARE_PATTERN):
+        if op in _PATTERN_OPCODES:
             if not (0 <= self.pattern < 2**64 and 0 <= self.pattern2 < 2**64):
                 return StatusCode.INVALID_FLAGS
             if self.pattern_bytes not in (8, 16):
                 return StatusCode.INVALID_FLAGS
-        dif_opcodes = (Opcode.DIF_CHECK, Opcode.DIF_INSERT, Opcode.DIF_STRIP, Opcode.DIF_UPDATE)
-        if self.opcode in dif_opcodes and self.dif is None:
+        if op in _DIF_OPCODES and self.dif is None:
             return StatusCode.INVALID_FLAGS
         return None
 

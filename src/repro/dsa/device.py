@@ -27,14 +27,9 @@ from repro.sim.engine import Environment, Event
 Descriptor = Union[WorkDescriptor, BatchDescriptor]
 
 
-def estimate_write_bytes(descriptor: Descriptor) -> int:
-    """Destination bytes a descriptor will stream (leak accounting)."""
-    if isinstance(descriptor, BatchDescriptor):
-        return sum(estimate_write_bytes(d) for d in descriptor.descriptors)
-    op, size = descriptor.opcode, descriptor.size
-    if op is Opcode.DUALCAST:
-        return 2 * size
-    if op in (
+#: Opcodes whose destination stream is exactly ``size`` bytes.
+_WRITES_SIZE = frozenset(
+    {
         Opcode.MEMMOVE,
         Opcode.COPY_CRC,
         Opcode.FILL,
@@ -42,10 +37,21 @@ def estimate_write_bytes(descriptor: Descriptor) -> int:
         Opcode.DIF_INSERT,
         Opcode.DIF_STRIP,
         Opcode.DIF_UPDATE,
-    ):
-        return size
+    }
+)
+
+
+def estimate_write_bytes(descriptor: Descriptor) -> int:
+    """Destination bytes a descriptor will stream (leak accounting)."""
+    if type(descriptor) is BatchDescriptor:
+        return sum(estimate_write_bytes(d) for d in descriptor.descriptors)
+    op = descriptor.opcode
+    if op in _WRITES_SIZE:
+        return descriptor.size
+    if op is Opcode.DUALCAST:
+        return 2 * descriptor.size
     if op is Opcode.CREATE_DELTA:
-        return max(1, size // 8)
+        return max(1, descriptor.size // 8)
     return 0
 
 
@@ -144,16 +150,20 @@ class DsaDevice:
         """
         if descriptor.completion_event is None:
             descriptor.completion_event = Event(self.env)
-        accepted = self.wq(wq_id).submit(descriptor, source=source)
-        if accepted:
+        wq = self._wqs.get(wq_id)
+        if wq is None:
+            wq = self.wq(wq_id)  # raises, naming the device
+        if wq.submit(descriptor, source):
             self._inflight_write_bytes += estimate_write_bytes(descriptor)
             self._update_llc_pressure()
-        return accepted
+            return True
+        return False
 
     def _update_llc_pressure(self) -> None:
-        demand = self.timing.fabric_bandwidth if self._inflight_write_bytes > 0 else 0.0
+        inflight = self._inflight_write_bytes
+        # ``name`` is the device's LLC agent (see :attr:`agent`).
         self.memsys.llc.register_io_stream(
-            self.agent, self._inflight_write_bytes, demand_rate=demand
+            self.name, inflight, self.timing.fabric_bandwidth if inflight > 0 else 0.0
         )
 
     def submit_raw(self, image: bytes, wq_id: int = 0) -> "WorkDescriptor":
@@ -239,3 +249,17 @@ class DsaDevice:
         event = descriptor.completion_event
         if event is not None and not event.triggered:
             event.succeed(descriptor)
+
+    def _complete_unrun(self, descriptor: Descriptor) -> None:
+        """Complete a dispatched descriptor that never executed: an
+        invalid batch, or any descriptor aborted at dispatch.
+
+        A batch's write bytes otherwise drain as each member completes;
+        here no member ran, so its whole estimate drains at once.
+        """
+        if isinstance(descriptor, BatchDescriptor):
+            self._inflight_write_bytes = max(
+                0.0, self._inflight_write_bytes - estimate_write_bytes(descriptor)
+            )
+            self._update_llc_pressure()
+        self._complete(descriptor)

@@ -37,9 +37,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dsa.device import DsaDevice
     from repro.dsa.group import Group
 
-#: The FENCE bit as a plain ``int``: ``IntFlag`` arithmetic runs
+#: Flag bits as plain ``int`` masks: ``IntFlag`` arithmetic runs
 #: Python-level enum code, about ten times an ``int`` mask's cost.
 _FENCE = int(DescriptorFlags.FENCE)
+_CACHE_CONTROL = int(DescriptorFlags.CACHE_CONTROL)
+_BLOCK_ON_FAULT = int(DescriptorFlags.BLOCK_ON_FAULT)
 
 
 @dataclass
@@ -109,7 +111,10 @@ def io_demand(work: WorkDescriptor, space: AddressSpace) -> IoDemand:
 
 def _all_backed(operands: List[Tuple[Buffer, int, int]]) -> bool:
     """True when there are operands and every one's buffer holds bytes."""
-    return bool(operands) and all(buffer.backed for buffer, _va, _n in operands)
+    for buffer, _va, _nbytes in operands:
+        if not buffer.backed:
+            return False
+    return bool(operands)
 
 
 class ProcessingEngine:
@@ -134,7 +139,7 @@ class ProcessingEngine:
         self.group = group
         self.engine_id = engine_id
         self.env: Environment = device.env
-        timing = device.timing
+        timing = self.timing = device.timing
         #: Data phases that may overlap (the read-buffer pool's size),
         #: the buffers free now, and whether the serial stage waits for
         #: one — it holds one descriptor at a time, so never more than
@@ -149,6 +154,9 @@ class ProcessingEngine:
         self._m_data_phases = self.env.metrics.counter(f"{self.agent}.data_phases")
         #: Destination node -> (is DRAM, UPI hop) for DDIO-path writes.
         self._ddio_routes: Dict[int, Tuple[bool, float]] = {}
+        #: (source node, in LLC) -> unloaded read latency from this
+        #: device's socket.
+        self._read_latencies: Dict[Tuple[int, bool], float] = {}
         # Serial-stage state: the descriptor the arbiter handed over,
         # the work descriptor in setup, and a batch's remaining members
         # and admitted data phases' exit events.
@@ -166,8 +174,9 @@ class ProcessingEngine:
         self.group.arbiter.request(self)
 
     def _dispatch(self) -> None:
-        self._descriptor.times.dispatched = self.env.now
-        self.env.call_in(self.device.timing.dispatch_ns, self._dispatched)
+        env = self.env
+        self._descriptor.times.dispatched = env._now
+        env.call_in(self.timing.dispatch_ns, self._dispatched)
 
     def _dispatched(self) -> None:
         descriptor = self._descriptor
@@ -177,7 +186,7 @@ class ProcessingEngine:
             self._abort_reset(descriptor, counter="disable_aborts")
             return
         injector = active_injector()
-        if injector is not None and injector.device_reset(self.env.now):
+        if injector is not None and injector.device_reset(self.env._now):
             self._abort_reset(descriptor)
         elif isinstance(descriptor, BatchDescriptor):
             self._start_batch(descriptor)
@@ -191,7 +200,7 @@ class ProcessingEngine:
         is expected to resubmit from scratch (the recovery layer treats
         it as retryable with ``bytes_completed = 0``).
         """
-        timing = self.device.timing
+        timing = self.timing
         self.device.atc.flush()
         descriptor.completion.status = StatusCode.DEVICE_DISABLED
         descriptor.completion.bytes_completed = 0
@@ -203,15 +212,16 @@ class ProcessingEngine:
         self.env.call_in(timing.completion_write_ns, self._descriptor_written)
 
     def _descriptor_written(self) -> None:
-        """Completion record of the dispatched descriptor written by the serial stage."""
+        """Completion record of the dispatched descriptor written by the
+        serial stage: it never executed (an abort, or an invalid batch)."""
         descriptor = self._descriptor
-        descriptor.times.completed = self.env.now
-        self.device._complete(descriptor)
+        descriptor.times.completed = self.env._now
+        self.device._complete_unrun(descriptor)
         self._idle()
 
     def _start_batch(self, batch: BatchDescriptor) -> None:
         """Batch unit: fetch the descriptor array, then stream it (F2)."""
-        timing = self.device.timing
+        timing = self.timing
         invalid = batch.validate()
         if invalid is not None:
             batch.completion.status = invalid
@@ -254,7 +264,7 @@ class ProcessingEngine:
         """Write the batch completion once ``events`` (its members' data
         phases) have all triggered; the engine does not wait for it."""
         env = self.env
-        timing = self.device.timing
+        timing = self.timing
 
         def members_done(_event: Optional[Event] = None) -> None:
             failed = sum(1 for d in batch.descriptors if not d.completion.status.is_success)
@@ -285,14 +295,14 @@ class ProcessingEngine:
     def _admit(self, work: WorkDescriptor) -> None:
         """Serial stage; then hand off to a pipelined data phase."""
         self._work = work
-        self.env.call_in(self.device.timing.pe_setup_ns, self._set_up)
+        self.env.call_in(self.timing.pe_setup_ns, self._set_up)
 
     def _set_up(self) -> None:
         work = self._work
         invalid = work.validate()
         if invalid is not None:
             work.completion.status = invalid
-            self.env.call_in(self.device.timing.completion_write_ns, self._work_written)
+            self.env.call_in(self.timing.completion_write_ns, self._work_written)
             return
         if work.opcode is Opcode.DRAIN:
             # Drain: complete only after everything already dispatched
@@ -311,12 +321,12 @@ class ProcessingEngine:
 
     def _drained(self, _event: Optional[Event] = None) -> None:
         self._work.completion.status = StatusCode.SUCCESS
-        self.env.call_in(self.device.timing.completion_write_ns, self._work_written)
+        self.env.call_in(self.timing.completion_write_ns, self._work_written)
 
     def _work_written(self) -> None:
         """Completion record of a descriptor that never reached a data phase."""
         work = self._work
-        work.times.completed = self.env.now
+        work.times.completed = self.env._now
         self.device._complete(work)
         self._serial_done()
 
@@ -345,9 +355,10 @@ class ProcessingEngine:
         write tail)``.
         """
         device = self.device
-        env = self.env
         memsys = device.memsys
         llc = memsys.llc
+        agent = device.name  # the device's LLC agent
+        now = self.env._now
         socket = device.socket
         flows = 0
         write_tail = 0.0
@@ -364,11 +375,12 @@ class ProcessingEngine:
 
         write_bytes = 0
         leaked: Optional[List[int]] = None
+        cache_control = int(work.flags) & _CACHE_CONTROL
         for buffer, _va, nbytes in demand.writes:
             write_bytes += nbytes
-            if work.cache_control or buffer.in_llc:
+            if cache_control or buffer.in_llc:
                 # G3: allocate the destination into the LLC directly.
-                llc.touch(device.agent, nbytes, io=False, now=env.now)
+                llc.touch(agent, nbytes, io=False, now=now)
                 write_tail = max(write_tail, llc.write_latency)
             elif llc.leaky:
                 # Leaky-DMA regime: writes spill to DRAM and the write
@@ -390,7 +402,7 @@ class ProcessingEngine:
                 # Default DDIO path: absorbed by the LLC's IO ways.
                 # Non-DRAM destinations (CXL, PMEM) must still reach
                 # their medium, so their write links throttle the flow.
-                llc.touch(device.agent, nbytes, io=True, now=env.now)
+                llc.touch(agent, nbytes, io=True, now=now)
                 route = self._ddio_routes.get(buffer.node)
                 if route is None:
                     hop, _remote = memsys.topology.crossing_cost(socket, buffer.node)
@@ -411,26 +423,13 @@ class ProcessingEngine:
         # leaked writes' amplification, added in write order.
         port_bytes = float(max(read_bytes, write_bytes))
         if leaked is not None:
-            amplification = device.timing.leaky_write_amplification - 1.0
+            amplification = self.timing.leaky_write_amplification - 1.0
             for nbytes in leaked:
                 port_bytes += nbytes * amplification
         if port_bytes > 0:
             device.port.transfer(port_bytes, weight=work.dispatch_weight, callback=callback)
             flows += 1
         return flows, write_tail
-
-    def _finish_functional(
-        self,
-        work: WorkDescriptor,
-        space: AddressSpace,
-        operands: List[Tuple[Buffer, int, int]],
-    ):
-        """Run the real byte operation when buffers are backed."""
-        if _all_backed(operands):
-            functional.execute(work, space)
-        else:
-            work.completion.status = StatusCode.SUCCESS
-            work.completion.bytes_completed = work.size
 
 
 class _DataPhase:
@@ -511,7 +510,10 @@ class _DataPhase:
         try:
             if traced:
                 tracer.begin(env.now, "translate", "translate", agent, track)
-            space = self.space = device.space_for(work.pasid)
+            space = device._spaces.get(work.pasid)
+            if space is None:
+                space = device.space_for(work.pasid)  # raises, naming the PASID
+            self.space = space
             try:
                 demand = io_demand(work, space)
             except KeyError:
@@ -522,7 +524,7 @@ class _DataPhase:
                 if traced:
                     tracer.instant(env.now, "unmapped_address", "translate", agent, track)
                     tracer.end(env.now, "translate", "translate", agent, track)
-                env.call_in(device.timing.completion_write_ns, self._fault_written)
+                env.call_in(pe.timing.completion_write_ns, self._fault_written)
                 return
             self.demand = demand
 
@@ -550,18 +552,17 @@ class _DataPhase:
             translate_ns = 0.0
             total_faults = 0
             translated = self._translated
-            if work.block_on_fault:
+            atc = device.atc
+            if int(work.flags) & _BLOCK_ON_FAULT:
                 for _buffer, va, nbytes in operands:
-                    latency, faults = device.atc.translate_range(
-                        work.pasid, va, nbytes
-                    )
+                    latency, faults = atc.translate_range(work.pasid, va, nbytes)
                     translate_ns = max(translate_ns, latency)
                     total_faults += faults
             else:
                 fault_offset = None
                 fault_va = None
                 for _buffer, va, nbytes in operands:
-                    latency, faults, first_fault = device.atc.translate_range_partial(
+                    latency, faults, first_fault = atc.translate_range_partial(
                         work.pasid, va, nbytes
                     )
                     translate_ns = max(translate_ns, latency)
@@ -612,7 +613,7 @@ class _DataPhase:
                     {"opcode": work.opcode.name, "size": work.size},
                 )
             if work.opcode is Opcode.CACHE_FLUSH:
-                env.call_in(work.size / device.timing.cache_flush_bandwidth, self._stored)
+                env.call_in(work.size / pe.timing.cache_flush_bandwidth, self._stored)
                 return
             self._read()
         except BaseException:
@@ -661,15 +662,22 @@ class _DataPhase:
 
     def _read(self) -> None:
         """Source access latency (critical path, once per descriptor)."""
-        device = self.pe.device
+        pe = self.pe
+        latencies = pe._read_latencies
         read_ns = 0.0
         for buffer, _va, _nbytes in self.demand.reads:
-            read_ns = max(
-                read_ns,
-                device.memsys.read_latency(buffer.node, device.socket, in_llc=buffer.in_llc),
-            )
+            key = (buffer.node, buffer.in_llc)
+            try:
+                latency = latencies[key]
+            except KeyError:
+                device = pe.device
+                latency = latencies[key] = device.memsys.read_latency(
+                    buffer.node, device.socket, buffer.in_llc
+                )
+            if latency > read_ns:
+                read_ns = latency
         if read_ns:
-            self.pe.env.call_in(read_ns, self._stream)
+            pe.env.call_in(read_ns, self._stream)
         else:
             self._stream()
 
@@ -712,8 +720,14 @@ class _DataPhase:
         fault_offset = self.fault_offset
         try:
             if fault_offset is None:
-                pe._finish_functional(work, self.space, self.operands)
-                env.call_in(pe.device.timing.completion_write_ns, self._written)
+                # Run the real byte operation when the buffers are backed.
+                if _all_backed(self.operands):
+                    functional.execute(work, self.space)
+                else:
+                    completion = work.completion
+                    completion.status = StatusCode.SUCCESS
+                    completion.bytes_completed = work.size
+                env.call_in(pe.timing.completion_write_ns, self._written)
                 return
             if work.opcode in RESUMABLE_OPCODES and _all_backed(self.operands):
                 functional.execute(work.clone_range(0, fault_offset), self.space)
@@ -732,14 +746,14 @@ class _DataPhase:
         completion.bytes_completed = self.fault_offset
         completion.fault_address = self.fault_va
         env.metrics.counter(f"{device.name}.partial_completions").add()
-        env.call_in(device.timing.completion_write_ns, self._fault_written)
+        env.call_in(self.pe.timing.completion_write_ns, self._fault_written)
 
     def _written(self) -> None:
         pe = self.pe
         env = pe.env
         work = self.work
         try:
-            work.times.completed = env.now
+            work.times.completed = env._now
             if self.traced:
                 env.tracer.end(
                     env.now,
@@ -762,7 +776,7 @@ class _DataPhase:
         device = self.pe.device
         work = self.work
         try:
-            work.times.completed = self.pe.env.now
+            work.times.completed = self.pe.env._now
             device._complete(work)
             if self.remote_homes:
                 device.memsys.ats_release(self.remote_homes)

@@ -119,7 +119,7 @@ class WorkQueue:
                         f"{self.name}.source.{source}.rejected"
                     ).add()
                 return False
-        if self.is_full:
+        if len(self._items) >= self.config.size:
             self.rejected += 1
             self._m_rejected.add()
             if source is not None:
@@ -131,18 +131,19 @@ class WorkQueue:
                     "track DWQ credits"
                 )
             return False  # ENQCMD retry indication
-        descriptor.times.submitted = self.env.now
-        self._items.append(descriptor)
+        env = self.env
+        now = env._now
+        descriptor.times.submitted = now
+        items = self._items
+        items.append(descriptor)
         self.enqueued += 1
         self._m_enqueued.add()
-        self._m_occupancy.update(self.env.now, len(self._items))
-        tracer = self.env.tracer
+        self._m_occupancy.update(now, len(items))
+        tracer = env.tracer
         if tracer.enabled:
             if descriptor.trace_track < 0:
                 descriptor.trace_track = tracer.next_track()
-            tracer.begin(
-                self.env.now, "queued", "queue", self.name, descriptor.trace_track
-            )
+            tracer.begin(now, "queued", "queue", self.name, descriptor.trace_track)
         if self.on_enqueue is not None:
             self.on_enqueue(self)
         return True
@@ -170,10 +171,10 @@ class WorkQueue:
         if not self._items:
             raise RuntimeError(f"pop from empty WQ {self.wq_id}")
         descriptor = self._items.popleft()
-        self._m_occupancy.update(self.env.now, len(self._items))
-        tracer = self.env.tracer
+        env = self.env
+        now = env._now
+        self._m_occupancy.update(now, len(self._items))
+        tracer = env.tracer
         if tracer.enabled and descriptor.trace_track >= 0:
-            tracer.end(
-                self.env.now, "queued", "queue", self.name, descriptor.trace_track
-            )
+            tracer.end(now, "queued", "queue", self.name, descriptor.trace_track)
         return descriptor

@@ -38,6 +38,9 @@ class SharedLLC:
         self.size = size
         self.ways = ways
         self.ddio_ways = ddio_ways
+        #: Bytes the DDIO partition can hold, and the rest of the LLC.
+        self.io_capacity = size * ddio_ways / ways
+        self.main_capacity = size - self.io_capacity
         self.read_latency = read_latency
         self.write_latency = write_latency
         #: Rate (GB/s) at which dirty DDIO lines drain to DRAM.
@@ -48,15 +51,6 @@ class SharedLLC:
         self._history: Optional[Dict[str, List[Tuple[float, float]]]] = None
 
     # -- capacities -------------------------------------------------------
-    @property
-    def io_capacity(self) -> float:
-        """Bytes the DDIO partition can hold."""
-        return self.size * self.ddio_ways / self.ways
-
-    @property
-    def main_capacity(self) -> float:
-        return self.size - self.io_capacity
-
     def occupancy(self, agent: str) -> float:
         return self._main.get(agent, 0.0) + self._io.get(agent, 0.0)
 
@@ -177,10 +171,13 @@ class SharedLLC:
         """True in the *leaky DMA* regime (Fig 10): the write footprint
         overflows the DDIO ways **and** dirty lines are produced faster
         than the LLC drains them, so writes spill to DRAM."""
-        return (
-            self.io_pressure > self.io_capacity
-            and self.io_write_demand > self.ddio_drain_bandwidth
-        )
+        # One pass summing what io_pressure and io_write_demand sum,
+        # in the same order.
+        pressure = demand = 0
+        for footprint, rate in self._io_streams.values():
+            pressure += footprint
+            demand += rate
+        return pressure > self.io_capacity and demand > self.ddio_drain_bandwidth
 
     # -- occupancy timelines (Fig 12) ---------------------------------------
     def enable_history(self) -> None:

@@ -106,7 +106,7 @@ class CpuServicePool:
         done = Event(self.env)
         self._queue.append((self.kernels.time(opcode, size, in_llc=in_llc), done))
         self.admitted += 1
-        self._m_depth.update(self.env.now, len(self._queue))
+        self._m_depth.update(self.env._now, len(self._queue))
         if self._idle:
             self._idle.pop().succeed(None)
         return done
@@ -123,10 +123,10 @@ class CpuServicePool:
                 self._idle.append(wake)
                 yield wake
             service_ns, done = self._queue.popleft()
-            self._m_depth.update(env.now, len(self._queue))
+            self._m_depth.update(env._now, len(self._queue))
             yield env.timeout(service_ns)
             self.served += 1
-            done.succeed(env.now)
+            done.succeed(env._now)
 
 
 class _TenantState:
@@ -219,12 +219,14 @@ class _DsaRequest:
                 self.failed_device = None
             device = portal.device
             wq_id = portal.wq_id
+            wq = device.wq(wq_id)
         else:
             device = state.device
             wq_id = state.spec.wq_id
+            wq = state.wq
         self.device = device
         self.wq_id = wq_id
-        self.wq = device.wq(wq_id)
+        self.wq = wq
         self._enqcmd()
 
     def _enqcmd(self) -> None:
@@ -259,7 +261,7 @@ class _DsaRequest:
         descriptor = self.descriptor
         status = descriptor.completion.status
         if status.is_success:
-            now = gen.platform.env.now
+            now = gen.platform.env._now
             gen.accountant.completed(
                 spec.name, now, now - self.arrived, self.size, retries=self.attempts
             )
@@ -291,7 +293,7 @@ class _DsaRequest:
     def _drop(self) -> None:
         state = self.state
         self.gen.accountant.dropped(
-            state.spec.name, self.gen.platform.env.now, retries=self.attempts
+            state.spec.name, self.gen.platform.env._now, retries=self.attempts
         )
         state.pool.release(self.descriptor)
 
