@@ -26,6 +26,15 @@ class CycleCategory(enum.Enum):
     IDLE = "idle"
 
 
+#: Every category, in definition order.  Each member's ``slot`` is its
+#: position here and indexes :class:`CpuCore`'s totals, so booking time
+#: hashes no member (``Enum.__hash__`` is a Python-level call).
+_CATEGORIES = tuple(CycleCategory)
+for _slot, _category in enumerate(_CATEGORIES):
+    _category.slot = _slot
+del _slot, _category
+
+
 class CpuCore:
     """One hardware thread; accumulates time per category."""
 
@@ -38,12 +47,13 @@ class CpuCore:
         #: Cached tracer agent label — the submit/prepare hot paths used
         #: to rebuild this f-string once per descriptor.
         self.trace_agent = f"core{core_id}"
-        self._time: Dict[CycleCategory, float] = {cat: 0.0 for cat in CycleCategory}
+        #: Time per category, indexed by ``CycleCategory.slot``.
+        self._time = [0.0] * len(_CATEGORIES)
 
     def account(self, category: CycleCategory, duration_ns: float) -> None:
         if duration_ns < 0:
             raise ValueError(f"negative duration: {duration_ns}")
-        self._time[category] += duration_ns
+        self._time[category.slot] += duration_ns
 
     def spend(self, category: CycleCategory, duration_ns: float):
         """Timeout event that also books the time (yield from callers)."""
@@ -51,24 +61,23 @@ class CpuCore:
         return self.env.timeout(duration_ns)
 
     def time_in(self, category: CycleCategory) -> float:
-        return self._time[category]
+        return self._time[category.slot]
 
     def times(self) -> Dict[CycleCategory, float]:
         """Copy of the per-category time table (snapshot harvesting)."""
-        return dict(self._time)
+        return dict(zip(_CATEGORIES, self._time))
 
     def cycles_in(self, category: CycleCategory) -> float:
-        return self._time[category] * self.frequency_ghz
+        return self._time[category.slot] * self.frequency_ghz
 
     @property
     def accounted_time(self) -> float:
-        return sum(self._time.values())
+        return sum(self._time)
 
     def fraction(self, category: CycleCategory) -> float:
         """Share of accounted time spent in ``category`` (Fig 11 metric)."""
         total = self.accounted_time
-        return self._time[category] / total if total else 0.0
+        return self._time[category.slot] / total if total else 0.0
 
     def reset(self) -> None:
-        for category in self._time:
-            self._time[category] = 0.0
+        self._time = [0.0] * len(_CATEGORIES)

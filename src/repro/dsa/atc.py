@@ -8,17 +8,18 @@ The ATC is also the natural choke point for deterministic fault
 injection (``repro.faults``): every device translation consults the
 active injector, which may turn it into a page fault (minor or major)
 or trigger an ATC shoot-down, before the real cache/IOMMU lookup runs.
-With no injector installed those checks are a single ``None`` test,
-made once per range for a transfer's tail pages.
+With no injector installed those checks are a single ``None`` test
+per range, and the range is walked a stretch of cached or uncached
+pages at a time (:class:`~repro.mem.runlru.RunLru`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional, Tuple, TYPE_CHECKING
 
 from repro.faults.inject import active_injector
 from repro.mem.iommu import Iommu
+from repro.mem.runlru import RunLru
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
@@ -48,7 +49,9 @@ class DeviceAtc:
         self.entries = entries
         self.hit_latency = hit_latency
         self.name = name
-        self._cache: "OrderedDict[Tuple[int, int], bool]" = OrderedDict()
+        #: Iterates ``(pasid, vpn)`` keys LRU-first.
+        self._cache = RunLru(entries)
+        self._iotlb_hit_latency = iommu.params.iotlb_hit_latency
         self.hits = 0
         self.misses = 0
         self._metrics = metrics
@@ -80,13 +83,14 @@ class DeviceAtc:
             self.flush()
             self._count("shootdowns")
         page = self._page_size(pasid)
-        key = (pasid, va // page)
+        vpn = va // page
+        cache = self._cache
         if injector is not None:
             kind = injector.page_fault(pasid, va, page)
             if kind is not None:
                 # Injected fault: the stale/absent translation forces a
                 # walk that misses; drop any cached entry for the page.
-                self._cache.pop(key, None)
+                cache.discard(pasid, vpn)
                 self.misses += 1
                 if self._m_misses is not None:
                     self._m_misses.add()
@@ -99,12 +103,9 @@ class DeviceAtc:
                 if not service_fault:
                     return self.hit_latency + walk, True
                 latency = walk + injector.service_latency_ns(kind)
-                if len(self._cache) >= self.entries:
-                    self._cache.popitem(last=False)
-                self._cache[key] = True
+                cache.insert(pasid, vpn, vpn + 1)
                 return self.hit_latency + latency, True
-        if key in self._cache:
-            self._cache.move_to_end(key)
+        if cache.touch(pasid, vpn):
             self.hits += 1
             if self._m_hits is not None:
                 self._m_hits.add()
@@ -117,9 +118,7 @@ class DeviceAtc:
             # Unserviced fault: the page stays unmapped, so caching the
             # (absent) translation would be wrong.
             return self.hit_latency + latency, True
-        if len(self._cache) >= self.entries:
-            self._cache.popitem(last=False)
-        self._cache[key] = True
+        cache.insert(pasid, vpn, vpn + 1)
         return self.hit_latency + latency, faulted
 
     def translate_range(self, pasid: int, va: int, size: int) -> Tuple[float, int]:
@@ -132,13 +131,8 @@ class DeviceAtc:
         """
         if size <= 0:
             return 0.0, 0
-        page = self._page_size(pasid)
-        critical, faulted = self.translate(pasid, va)
-        faults = int(faulted)
-        if va % page + size > page:
-            critical, faults, _ = self._walk_tail(
-                pasid, va, size, page, critical, faults, service_fault=True
-            )
+        walk = self._walk if active_injector() is None else self._walk_exact
+        critical, faults, _fault_va = walk(pasid, va, size, True)
         return critical, faults
 
     def translate_range_partial(
@@ -146,92 +140,88 @@ class DeviceAtc:
     ) -> Tuple[float, int, Optional[int]]:
         """Translate pages until the first fault (BOF=0 semantics).
 
-        Returns ``(critical_path_latency, faults, fault_va)``.  Shares
-        :meth:`_walk_tail` with :meth:`translate_range` but with
-        ``service_fault=False``, stopping at the first faulting page:
-        that fault is only discovered (walk latency on the critical
-        path), the page is left unmapped, and ``fault_va`` is the base
-        address of the faulting page (clamped to ``va`` for the first
-        page).  On a fault-free range the latency, cache state, and
-        IOMMU state are identical to :meth:`translate_range`.
+        Returns ``(critical_path_latency, faults, fault_va)``.  The
+        walk is :meth:`translate_range`'s with ``service_fault=False``,
+        stopping at the first faulting page: that fault is only
+        discovered (walk latency on the critical path), the page is
+        left unmapped, and ``fault_va`` is the base address of the
+        faulting page (clamped to ``va`` for the first page).  On a
+        fault-free range the latency, cache state, and IOMMU state are
+        identical to :meth:`translate_range`.
         """
         if size <= 0:
             return 0.0, 0, None
-        page = self._page_size(pasid)
-        critical, faulted = self.translate(pasid, va, service_fault=False)
-        if faulted:
-            return critical, 1, va
-        if va % page + size <= page:
-            return critical, 0, None
-        return self._walk_tail(pasid, va, size, page, critical, 0, service_fault=False)
+        walk = self._walk if active_injector() is None else self._walk_exact
+        return walk(pasid, va, size, False)
 
-    def _walk_tail(
-        self,
-        pasid: int,
-        va: int,
-        size: int,
-        page: int,
-        critical: float,
-        faults: int,
-        service_fault: bool,
+    def _walk(
+        self, pasid: int, va: int, size: int, service_fault: bool
     ) -> Tuple[float, int, Optional[int]]:
-        """Translate the pages of ``[va, va+size)`` after the first one.
+        """Translate ``[va, va+size)`` with no fault injector installed.
 
-        Callers translate the first page themselves and call this only
-        when the range spans more than one ``page``.  Returns
-        ``(critical, faults, fault_va)``: the first page's ``critical``
-        latency and ``faults`` plus the tail's faults.  The tail
-        overlaps with streaming, so a page that does not fault adds no
-        latency and none is computed: an ATC hit, or an IOTLB hit or
-        fill for an already-mapped page, is done inline on the cache
-        maps, and its counts are flushed once at the end.  Two kinds of
-        page take the exact per-page :meth:`translate` instead:
+        Returns ``(critical, faults, fault_va)``.  The range is walked
+        one segment at a time, first page included:
 
-        * every page while a fault injector is active, so its decisions
-          are drawn in the same page order;
-        * a page that misses the ATC and IOTLB and is unmapped — a real
-          fault, which stalls the engine for its full service time
-          (BOF=1) or ends the walk at ``fault_va`` (BOF=0, nothing
+        * a stretch of ATC hits becomes the MRU stretch in one step;
+        * a stretch of ATC misses on mapped pages goes through the
+          IOTLB the same way (:meth:`Tlb.fill_range`) and is inserted
+          into the ATC as one MRU stretch;
+        * an unmapped page is a real fault and takes the exact
+          :meth:`translate`: it stalls the engine for its full service
+          time (BOF=1) or ends the walk at ``fault_va`` (BOF=0, nothing
           cached or mapped for it and no later page touched).
 
-        Cache LRU order, counters, frame allocation and metrics end up
-        exactly as a per-page :meth:`translate` loop leaves them.
+        The first page's latency follows from its segment's kind (ATC
+        hit, IOTLB hit or table walk); the rest overlap with streaming,
+        so only their faults add latency.  Cache LRU order, counters,
+        frame allocation and metrics end up exactly as a per-page
+        :meth:`translate` loop leaves them: an insert may evict a later
+        page of the range, which then misses in turn.
         """
-        exact = active_injector() is not None
-        cache, entries = self._cache, self.entries
-        iotlb, iotlb_entries, mapping = self.iommu.walk_state(pasid)
-        hits = misses = iotlb_hits = iotlb_misses = 0
+        iotlb, mapping, page, miss_latency = self.iommu.walk_states[pasid]
+        cache = self._cache
+        vpn = va // page
+        end = (va + size - 1) // page + 1
+        critical = None
+        faults = hits = misses = iotlb_misses = 0
         fault_va = None
-        for vpn in range(va // page + 1, (va + size - 1) // page + 1):
-            if not exact:
-                key = (pasid, vpn)
-                if key in cache:
-                    cache.move_to_end(key)
-                    hits += 1
+        while vpn < end:
+            stop, cached = cache.access(pasid, vpn, end)
+            if cached:
+                if critical is None:
+                    critical = self.hit_latency
+                hits += stop - vpn
+                vpn = stop
+                continue
+            mapped = stop
+            if not all(map(mapping.__contains__, range(vpn, stop))):
+                mapped = vpn
+                while mapped in mapping:
+                    mapped += 1
+            if mapped > vpn:
+                if critical is None:
+                    critical = self.hit_latency + (
+                        self._iotlb_hit_latency if iotlb.holds(vpn) else miss_latency
+                    )
+                iotlb_misses += mapped - vpn - iotlb.fill_range(vpn, mapped)
+                cache.insert(pasid, vpn, mapped)
+                misses += mapped - vpn
+                vpn = mapped
+                if mapped == stop:
                     continue
-                if vpn in iotlb:
-                    iotlb.move_to_end(vpn)
-                    iotlb_hits += 1
-                elif vpn in mapping:
-                    iotlb_misses += 1
-                    if len(iotlb) >= iotlb_entries:
-                        iotlb.popitem(last=False)
-                    iotlb[vpn] = True
-                else:
-                    key = None  # unmapped: fault on the exact path below
-                if key is not None:
-                    misses += 1
-                    if len(cache) >= entries:
-                        cache.popitem(last=False)
-                    cache[key] = True
-                    continue
-            latency, faulted = self.translate(pasid, vpn * page, service_fault)
-            if faulted:
+            # Page ``vpn`` is unmapped: a fault, on the exact path.
+            page_va = max(va, vpn * page)
+            latency, faulted = self.translate(pasid, page_va, service_fault)
+            if critical is None:
+                critical = latency
+            elif faulted:
                 critical += latency
+            if faulted:
                 faults += 1
                 if not service_fault:
-                    fault_va = vpn * page
+                    fault_va = page_va
                     break
+            vpn += 1
         if hits:
             self.hits += hits
             if self._m_hits is not None:
@@ -241,16 +231,36 @@ class DeviceAtc:
             self.misses += misses
             if self._m_misses is not None:
                 self._m_misses.add(misses)
-            self.iommu.count_walk(pasid, iotlb_hits, iotlb_misses)
+            self.iommu.count_walk(misses, iotlb_misses)
         return critical, faults, fault_va
+
+    def _walk_exact(
+        self, pasid: int, va: int, size: int, service_fault: bool
+    ) -> Tuple[float, int, Optional[int]]:
+        """:meth:`_walk` while a fault injector is active: every page
+        takes :meth:`translate`, so injected faults, shoot-downs (which
+        flush the ATC mid-range) and scripted addresses are decided in
+        page order."""
+        page = self._page_size(pasid)
+        critical, faulted = self.translate(pasid, va, service_fault)
+        faults = int(faulted)
+        if faulted and not service_fault:
+            return critical, 1, va
+        for vpn in range(va // page + 1, (va + size - 1) // page + 1):
+            latency, faulted = self.translate(pasid, vpn * page, service_fault)
+            if faulted:
+                critical += latency
+                faults += 1
+                if not service_fault:
+                    return critical, faults, vpn * page
+        return critical, faults, None
 
     def flush(self) -> None:
         """Drop every cached translation (ATC shoot-down / device reset)."""
         self._cache.clear()
 
     def invalidate_pasid(self, pasid: int) -> None:
-        for key in [k for k in self._cache if k[0] == pasid]:
-            del self._cache[key]
+        self._cache.drop(pasid)
 
     @property
     def hit_rate(self) -> float:

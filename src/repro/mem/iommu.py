@@ -10,7 +10,6 @@ model provides.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -37,6 +36,9 @@ class Iommu:
         self.params = params
         self._tables: Dict[int, PageTable] = {}
         self._iotlbs: Dict[int, Tlb] = {}
+        #: Per-PASID ``(iotlb, mapping, page_size, miss_latency)`` for
+        #: range walkers; see :meth:`attach`.
+        self.walk_states: Dict[int, Tuple[Tlb, Dict[int, int], int, float]] = {}
         self.translations = 0
         self.page_faults = 0
         self._m_translations = None
@@ -59,11 +61,21 @@ class Iommu:
         if pasid in self._tables:
             raise ValueError(f"PASID {pasid} already attached")
         self._tables[pasid] = table
-        self._iotlbs[pasid] = Tlb(self.params.iotlb_entries, table.page_size)
+        iotlb = self._iotlbs[pasid] = Tlb(self.params.iotlb_entries, table.page_size)
+        # A range walker may do inline what translate() does for a page
+        # that hits the IOTLB or is already mapped (refresh or fill the
+        # IOTLB), and nothing else: an unmapped page is a fault and
+        # goes through translate().  It reports its lookups through
+        # count_walk().  ``miss_latency`` is what translate() charges
+        # for an IOTLB miss on a mapped page, summed in the same order.
+        params = self.params
+        miss_latency = params.iotlb_hit_latency + params.walk_overhead + table.walk_latency
+        self.walk_states[pasid] = (iotlb, table._mapping, table.page_size, miss_latency)
 
     def detach(self, pasid: int) -> None:
         self._tables.pop(pasid, None)
         self._iotlbs.pop(pasid, None)
+        self.walk_states.pop(pasid, None)
 
     def is_attached(self, pasid: int) -> bool:
         return pasid in self._tables
@@ -110,33 +122,13 @@ class Iommu:
         iotlb.fill(va)
         return latency, faulted
 
-    def walk_state(self, pasid: int) -> Tuple[OrderedDict[int, bool], int, Dict[int, int]]:
-        """Hand a range walker ``pasid``'s IOTLB and page table.
-
-        Returns ``(iotlb, iotlb_entries, mapping)``: the IOTLB's LRU map
-        of virtual page numbers, its capacity, and the page table's
-        vpn → frame map.  A walker may do inline what :meth:`translate`
-        does for a page that hits the IOTLB or is already mapped —
-        refresh the hit, or fill the entry evicting the LRU one — and
-        nothing else: an unmapped page is a fault and goes through
-        :meth:`translate`.  It reports what it did through
-        :meth:`count_walk`.
-        """
-        table = self._tables.get(pasid)
-        if table is None:
-            raise KeyError(f"PASID {pasid} not attached to IOMMU")
-        iotlb = self._iotlbs[pasid]
-        return iotlb._cache, iotlb.entries, table._mapping
-
-    def count_walk(self, pasid: int, iotlb_hits: int, iotlb_misses: int) -> None:
-        """Add a range walk's batched counts, as :meth:`translate` would
-        have one page at a time: each IOTLB lookup is one translation."""
-        iotlb = self._iotlbs[pasid]
-        iotlb.hits += iotlb_hits
-        iotlb.misses += iotlb_misses
-        lookups = iotlb_hits + iotlb_misses
+    def count_walk(self, lookups: int, iotlb_misses: int) -> None:
+        """Add a range walk's batched IOTLB lookups, as :meth:`translate`
+        would have one page at a time: each lookup is one translation.
+        The walker's :meth:`Tlb.fill_range` counted the IOTLB's own
+        hits and misses."""
         self.translations += lookups
-        if self._m_translations is not None and lookups:
+        if self._m_translations is not None:
             self._m_translations.add(lookups)
         if self._m_iotlb_misses is not None and iotlb_misses:
             self._m_iotlb_misses.add(iotlb_misses)

@@ -1,13 +1,14 @@
-"""LRU translation lookaside buffer, shared by cores and the DSA ATC.
+"""LRU translation lookaside buffer: the IOMMU's per-PASID IOTLB.
 
-The device-side address translation cache (ATC) of DSA behaves the same
-way as a core TLB for our purposes: a bounded LRU map from virtual page
-number to translation, with hit/miss counting.
+A bounded LRU set of virtual page numbers with hit/miss counting,
+stored as runs of consecutive pages (:class:`~repro.mem.runlru.RunLru`)
+so that a device's range walk can refresh or fill a stretch of pages
+in one step.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from repro.mem.runlru import RunLru
 
 
 class Tlb:
@@ -20,7 +21,8 @@ class Tlb:
             raise ValueError(f"page_size must be >= 1, got {page_size}")
         self.entries = entries
         self.page_size = page_size
-        self._cache: "OrderedDict[int, bool]" = OrderedDict()
+        #: Iterates VPNs LRU-first.
+        self._cache = RunLru(entries, namespaced=False)
         self.hits = 0
         self.misses = 0
 
@@ -29,9 +31,7 @@ class Tlb:
 
     def lookup(self, va: int) -> bool:
         """True on hit; refreshes LRU position.  Misses are not filled."""
-        vpn = va // self.page_size
-        if vpn in self._cache:
-            self._cache.move_to_end(vpn)
+        if self._cache.touch(0, va // self.page_size):
             self.hits += 1
             return True
         self.misses += 1
@@ -40,12 +40,25 @@ class Tlb:
     def fill(self, va: int) -> None:
         """Insert a translation, evicting the LRU entry if full."""
         vpn = va // self.page_size
-        if vpn in self._cache:
-            self._cache.move_to_end(vpn)
-            return
-        if len(self._cache) >= self.entries:
-            self._cache.popitem(last=False)
-        self._cache[vpn] = True
+        if not self._cache.touch(0, vpn):
+            self._cache.insert(0, vpn, vpn + 1)
+
+    def holds(self, vpn: int) -> bool:
+        """True if page ``vpn`` is cached; nothing is counted or moved."""
+        return self._cache.holds(0, vpn)
+
+    def fill_range(self, vpn: int, end: int) -> int:
+        """Look up and fill pages ``[vpn, end)`` in order; return the hits.
+
+        Each page counts as one :meth:`lookup` and, on a miss, one
+        :meth:`fill`, so the counters and LRU order end up as a
+        per-page loop leaves them.  The caller vouches that every page
+        is mapped.
+        """
+        hits = self._cache.fill(0, vpn, end)
+        self.hits += hits
+        self.misses += end - vpn - hits
+        return hits
 
     def invalidate_all(self) -> None:
         self._cache.clear()

@@ -1,27 +1,31 @@
 """Differential oracle for the ATC range walker.
 
 ``DeviceAtc.translate_range`` and ``translate_range_partial`` walk a
-range's tail pages in one loop, inlining the ATC, IOTLB and page-table
-work of a page that does not fault.  The per-page loops they replaced
-are kept here as the reference: each calls ``DeviceAtc.translate`` once
-per page.  Every seeded schedule runs on two fresh ATC/IOMMU/page-table
-stacks, one per implementation, and everything observable must agree:
-return values, cache LRU order, counters, frame allocation and the
-metrics registry.
+range a stretch of cached or uncached pages at a time, on run-length
+LRUs (``repro.mem.runlru``), inlining the ATC, IOTLB and page-table
+work of a page that does not fault.  The reference kept here is the
+per-page model they replaced: an ``OrderedDict`` LRU ATC whose
+``translate`` runs once per page, over an IOMMU whose per-PASID IOTLBs
+are ``OrderedDict`` LRUs too.  Every seeded schedule runs on two fresh
+ATC/IOMMU/page-table stacks, the real one and the reference, and
+everything observable must agree: return values, cache LRU order,
+counters, frame allocation and the metrics registry.
 """
 
 import contextlib
 import functools
 import random
+from collections import OrderedDict
 from typing import Optional, Tuple
 
 import pytest
 
 from repro.dsa.atc import DeviceAtc
-from repro.faults.inject import FaultInjector, injection
+from repro.faults.inject import FaultInjector, active_injector, injection
 from repro.faults.plan import FaultPlan
 from repro.mem.iommu import Iommu, IommuParams
 from repro.mem.pagetable import PAGE_2M, PAGE_4K, PageTable
+from repro.mem.runlru import RunLru
 from repro.obs.metrics import MetricsRegistry
 
 PASIDS = (1, 2)
@@ -30,7 +34,108 @@ REGION_PAGES = 48
 OPS = 80
 
 
-def reference_range(atc: DeviceAtc, pasid: int, va: int, size: int) -> Tuple[float, int]:
+class ReferenceTlb:
+    """The per-page ``OrderedDict`` IOTLB, frozen as the oracle's model."""
+
+    def __init__(self, entries: int, page_size: int):
+        self.entries = entries
+        self.page_size = page_size
+        self._cache: "OrderedDict[int, bool]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def lookup(self, va: int) -> bool:
+        vpn = va // self.page_size
+        if vpn in self._cache:
+            self._cache.move_to_end(vpn)
+            self.hits += 1
+            return True
+        self.misses += 1
+        return False
+
+    def fill(self, va: int) -> None:
+        vpn = va // self.page_size
+        if vpn in self._cache:
+            self._cache.move_to_end(vpn)
+            return
+        if len(self._cache) >= self.entries:
+            self._cache.popitem(last=False)
+        self._cache[vpn] = True
+
+
+class ReferenceAtc:
+    """The per-page ``OrderedDict`` ATC, frozen as the oracle's model."""
+
+    def __init__(self, iommu: Iommu, entries: int, metrics: MetricsRegistry):
+        self.iommu = iommu
+        self.entries = entries
+        self.hit_latency = 8.0
+        self.name = "atc"
+        self._cache: "OrderedDict[Tuple[int, int], bool]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self._metrics = metrics
+        self._m_hits = metrics.counter("atc.hits")
+        self._m_misses = metrics.counter("atc.misses")
+
+    def _page_size(self, pasid: int) -> int:
+        return self.iommu._tables[pasid].page_size
+
+    def _count(self, suffix: str) -> None:
+        self._metrics.counter(f"{self.name}.{suffix}").add()
+
+    def translate(
+        self, pasid: int, va: int, service_fault: bool = True
+    ) -> Tuple[float, bool]:
+        injector = active_injector()
+        if injector is not None and injector.shootdown_due():
+            self.flush()
+            self._count("shootdowns")
+        page = self._page_size(pasid)
+        key = (pasid, va // page)
+        if injector is not None:
+            kind = injector.page_fault(pasid, va, page)
+            if kind is not None:
+                self._cache.pop(key, None)
+                self.misses += 1
+                self._m_misses.add()
+                self._count("injected_faults")
+                walk = (
+                    self.iommu.params.iotlb_hit_latency
+                    + self.iommu.params.walk_overhead
+                    + self.iommu._tables[pasid].walk_latency
+                )
+                if not service_fault:
+                    return self.hit_latency + walk, True
+                latency = walk + injector.service_latency_ns(kind)
+                if len(self._cache) >= self.entries:
+                    self._cache.popitem(last=False)
+                self._cache[key] = True
+                return self.hit_latency + latency, True
+        if key in self._cache:
+            self._cache.move_to_end(key)
+            self.hits += 1
+            self._m_hits.add()
+            return self.hit_latency, False
+        self.misses += 1
+        self._m_misses.add()
+        latency, faulted = self.iommu.translate(pasid, va, service_fault)
+        if faulted and not service_fault:
+            return self.hit_latency + latency, True
+        if len(self._cache) >= self.entries:
+            self._cache.popitem(last=False)
+        self._cache[key] = True
+        return self.hit_latency + latency, faulted
+
+    def flush(self) -> None:
+        self._cache.clear()
+
+    def invalidate_pasid(self, pasid: int) -> None:
+        for key in [k for k in self._cache if k[0] == pasid]:
+            del self._cache[key]
+
+
+def reference_range(atc: ReferenceAtc, pasid: int, va: int, size: int) -> Tuple[float, int]:
     """The per-page ``translate_range`` loop the walker replaced."""
     if size <= 0:
         return 0.0, 0
@@ -48,7 +153,7 @@ def reference_range(atc: DeviceAtc, pasid: int, va: int, size: int) -> Tuple[flo
 
 
 def reference_partial(
-    atc: DeviceAtc, pasid: int, va: int, size: int
+    atc: ReferenceAtc, pasid: int, va: int, size: int
 ) -> Tuple[float, int, Optional[int]]:
     """The per-page ``translate_range_partial`` loop the walker replaced."""
     if size <= 0:
@@ -66,8 +171,10 @@ def reference_partial(
     return critical, 0, None
 
 
-def _stack(seed: int):
-    """A fresh ATC/IOMMU/page-table stack; equal seeds build equal stacks."""
+def _stack(seed: int, reference: bool = False):
+    """A fresh ATC/IOMMU/page-table stack; equal seeds build equal stacks.
+
+    ``reference`` swaps in the ``OrderedDict`` ATC and IOTLBs."""
     rng = random.Random(seed)
     registry = MetricsRegistry()
     iommu = Iommu(IommuParams(iotlb_entries=rng.choice((4, 16, 256))))
@@ -79,12 +186,19 @@ def _stack(seed: int):
             start = rng.randrange(REGION_PAGES) * page
             table.map_range(start, rng.randint(1, 12) * page)
         iommu.attach(pasid, table)
-    atc = DeviceAtc(iommu, entries=rng.choice((2, 8, 128)), metrics=registry)
-    return atc, registry
+        if reference:
+            iommu._iotlbs[pasid] = ReferenceTlb(iommu.params.iotlb_entries, page)
+    entries = rng.choice((2, 8, 128))
+    if reference:
+        return ReferenceAtc(iommu, entries, registry), registry
+    return DeviceAtc(iommu, entries=entries, metrics=registry), registry
 
 
-def _schedule(seed: int, atc: DeviceAtc):
-    """Ops drawn up front: ``(kind, pasid, va, size, touch)``."""
+def _schedule(seed: int, atc):
+    """Ops drawn up front: ``(kind, pasid, va, size, flag)``.
+
+    ``flag`` is ``service_fault`` for a single-page ``translate``; for a
+    BOF=0 range it says whether software touches a faulting page."""
     rng = random.Random(seed * 7919 + 1)
     ops = []
     for _ in range(OPS):
@@ -100,6 +214,10 @@ def _schedule(seed: int, atc: DeviceAtc):
         va = rng.randrange(REGION_PAGES) * page
         if rng.random() < 0.6:
             va += rng.randrange(1, page)  # unaligned start
+        if roll < 0.2:
+            # One page through translate(), as BOF=1 or BOF=0.
+            ops.append(("single", pasid, va, 0, rng.random() < 0.5))
+            continue
         shape = rng.random()
         if shape < 0.05:
             size = 0
@@ -118,7 +236,7 @@ def _schedule(seed: int, atc: DeviceAtc):
 
 
 def _run(seed: int, walker: bool, injector: Optional[FaultInjector] = None):
-    atc, registry = _stack(seed)
+    atc, registry = _stack(seed, reference=not walker)
     if walker:
         walk, partial_walk = atc.translate_range, atc.translate_range_partial
     else:
@@ -126,22 +244,24 @@ def _run(seed: int, walker: bool, injector: Optional[FaultInjector] = None):
         partial_walk = functools.partial(reference_partial, atc)
     results = []
     with injection(injector) if injector is not None else contextlib.nullcontext():
-        for kind, pasid, va, size, touch in _schedule(seed, atc):
+        for kind, pasid, va, size, flag in _schedule(seed, atc):
             if kind == "flush":
                 atc.flush()
             elif kind == "invalidate":
                 atc.invalidate_pasid(pasid)
+            elif kind == "single":
+                results.append(atc.translate(pasid, va, service_fault=flag))
             elif kind == "range":
                 results.append(walk(pasid, va, size))
             else:
                 result = partial_walk(pasid, va, size)
                 results.append(result)
-                if result[2] is not None and touch:
+                if result[2] is not None and flag:
                     atc.iommu._tables[pasid].map_range(result[2], 1)
     return results, _state(atc, registry)
 
 
-def _state(atc: DeviceAtc, registry: MetricsRegistry) -> dict:
+def _state(atc, registry: MetricsRegistry) -> dict:
     iommu = atc.iommu
     return {
         "atc_order": list(atc._cache),
@@ -167,9 +287,68 @@ def test_walker_matches_per_page_reference(seed):
     assert walked_state == expected_state
 
 
-def test_schedules_cover_the_cases():
+def _record_shapes(monkeypatch, seen: set) -> None:
+    """Record which run-LRU cases and walker outcomes a run goes through."""
+    refresh, trim, insert = RunLru._refresh, RunLru._trim, RunLru.insert
+
+    def recording_refresh(self, run, i, vpn, stop, starts, runs):
+        mru = self._root.prev
+        if stop < run.end:
+            seen.add("prefix re-key" if vpn == run.start else "middle split")
+        elif run is mru:
+            seen.add("MRU suffix refresh")
+        elif vpn > run.start:
+            seen.add("suffix split")
+        elif mru.end == run.start and mru.ns == run.ns:
+            seen.add("whole-run fold into MRU")
+        else:
+            seen.add("whole-run move")
+        refresh(self, run, i, vpn, stop, starts, runs)
+
+    def recording_trim(self):
+        lru = self._root.next
+        if self._size - self.capacity >= lru.end - lru.start:
+            seen.add("LRU-run trim")
+        else:
+            seen.add("LRU prefix trim")
+        trim(self)
+
+    def recording_insert(self, ns, vpn, end):
+        mru = self._root.prev
+        if mru.end == vpn and mru.ns == ns:
+            seen.add("tail merge")
+        insert(self, ns, vpn, end)
+
+    monkeypatch.setattr(RunLru, "_refresh", recording_refresh)
+    monkeypatch.setattr(RunLru, "_trim", recording_trim)
+    monkeypatch.setattr(RunLru, "insert", recording_insert)
+
+    def watching(method):
+        # A page cached when the walk starts that still misses was
+        # evicted by an insert earlier in the same walk.
+        def walk(self, pasid, va, size):
+            page = self._page_size(pasid)
+            before = {vpn for ns, vpn in self._cache if ns == pasid}
+            hits = self.hits
+            result = method(self, pasid, va, size)
+            last = (va + size - 1) // page
+            if len(result) == 3 and result[2] is not None:
+                last = result[2] // page - 1
+            cached = len(before & set(range(va // page, last + 1)))
+            if self.hits - hits < cached:
+                seen.add("eviction of the next hit")
+            return result
+
+        return walk
+
+    for name in ("translate_range", "translate_range_partial"):
+        monkeypatch.setattr(DeviceAtc, name, watching(getattr(DeviceAtc, name)))
+
+
+def test_schedules_cover_the_cases(monkeypatch):
     """The seeds above exercise every case the walker must get right."""
     seen = set()
+    _record_shapes(monkeypatch, seen)
     for seed in range(32):
         atc, _registry = _stack(seed)
         ops = _schedule(seed, atc)
@@ -183,11 +362,12 @@ def test_schedules_cover_the_cases():
             for order, _hits, misses in state["iotlb"].values()
         ):
             seen.add("iotlb eviction")
-        ranges = [op for op in ops if op[0] in ("range", "partial")]
-        results = iter(results)
-        for kind, pasid, va, size, _touch in ranges:
+        translated = [op for op in ops if op[0] in ("single", "range", "partial")]
+        for (kind, pasid, va, size, flag), result in zip(translated, results):
             page = atc._page_size(pasid)
-            result = next(results)
+            if kind == "single":
+                seen.add(("single", flag, result[1]))
+                continue
             if size > 0 and (va + size - 1) // page - va // page + 1 > atc.entries:
                 seen.add("range longer than ATC")
             if va % page:
@@ -205,7 +385,12 @@ def test_schedules_cover_the_cases():
         "range longer than ATC", "unaligned va", "ends on page boundary",
         "range fault", "partial fault", "range fault-free tail",
         "partial fault-free tail", "atc hits",
-    } <= seen
+        ("single", True, False), ("single", True, True),
+        ("single", False, False), ("single", False, True),
+        "middle split", "prefix re-key", "suffix split", "whole-run move",
+        "whole-run fold into MRU", "tail merge", "LRU-run trim", "LRU prefix trim",
+        "eviction of the next hit",
+    } <= seen, sorted(map(str, seen))
 
 
 FAULT_PLAN = FaultPlan(
@@ -251,15 +436,16 @@ def test_injector_schedules_fire():
 
 
 def test_resident_tail_takes_no_per_page_call():
-    """A fault-free range costs one ``translate`` call, for its first page."""
+    """A fault-free range makes no per-page ``translate`` call at all."""
     iommu = Iommu()
     table = PageTable(PAGE_4K)
     table.map_range(0, 64 * PAGE_4K)
     iommu.attach(1, table)
     atc = DeviceAtc(iommu, entries=8)
     calls = []
-    exact = atc.translate
+    exact, iommu_exact = atc.translate, iommu.translate
     atc.translate = lambda *args, **kw: calls.append(args) or exact(*args, **kw)
+    iommu.translate = lambda *args, **kw: calls.append(args) or iommu_exact(*args, **kw)
     assert atc.translate_range(1, 100, 16 * PAGE_4K) == (atc.hit_latency + 40.0 + 80.0, 0)
-    assert len(calls) == 1
+    assert calls == []
     assert iommu.translations == 17 and atc.misses == 17
