@@ -16,7 +16,7 @@ configs, Fig 10 multi-device, the QD32 Table 1 rows):
   contending on one link.
 * ``multi_link``      — a DRAM read + DRAM write + UPI + CXL link mix
   where each logical copy holds flows on two links at once (the
-  ``MemorySystem._flow`` composition).
+  ``MemorySystem.read_flow``/``write_flow`` fan-out).
 
 "Before" numbers come from a verbatim copy of the pre-virtual-time link
 (commit 9bbaa3c) embedded below as ``LegacyFairShareLink``, run on the

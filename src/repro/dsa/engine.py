@@ -427,7 +427,7 @@ class ProcessingEngine:
             for nbytes in leaked:
                 port_bytes += nbytes * amplification
         if port_bytes > 0:
-            device.port.transfer(port_bytes, weight=work.dispatch_weight, callback=callback)
+            device.port.transfer(port_bytes, work.dispatch_weight, callback)
             flows += 1
         return flows, write_tail
 

@@ -21,56 +21,64 @@ and every flow carries a fixed *virtual finish tag* ``V_join +
 nbytes/weight``.  A flow is done exactly when ``V`` reaches its tag, so
 the active flows sit in a heap ordered by tag and a join/leave costs
 O(log n) — no per-flow rate recomputation, no per-flow byte updates.
-One wake timer is armed for the earliest tag and **cancelled**
+A heap entry is the flow itself, as a tuple ``(vfinish, seq, weight,
+size, callback, event)``: no object is built per flow.  One wake timer
+is armed for the earliest tag and **cancelled**
 (:meth:`repro.sim.engine.Event.cancel`) whenever the earliest finish
-moves, so the calendar never accumulates stale link timers.
+moves, so the calendar never accumulates stale link timers.  A join is
+one straight-line pass in :meth:`FairShareLink.transfer` (advance ``V``,
+drain, push, re-arm) and a wake another in ``_on_timer`` (advance,
+drain, re-arm or go idle).
 
 ``per_flow_cap`` (the §3.4 single-stream ceiling) folds into the
 virtual-clock rate while all active weights are equal — the common
 case, where either every flow is capped or none is.  When flows with
 *different* weights contend under a cap, the link switches to an exact
 water-filling mode (capped flows drain at the cap, the unused share is
-redistributed to the uncapped flows) that recomputes rates per
-membership change; it returns to the virtual-time fast path once the
-link drains idle.
+redistributed to the uncapped flows) that keeps a :class:`_Flow` byte
+counter per flow and recomputes rates per membership change in
+``_step``; it returns to virtual time once the link drains idle.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Callable, List, Optional
 
 from repro.sim.engine import Environment, Event, Timeout
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_by_seq = itemgetter(1)  # a heap entry's join order
 
 #: Residual-byte tolerance when deciding a flow has drained.
 _EPSILON = 1e-6
 
 
 class _Flow:
-    __slots__ = (
-        "size", "weight", "event", "callback", "seq", "vfinish", "remaining", "rate"
-    )
+    """One flow's byte counter in water-filling mode."""
+
+    __slots__ = ("size", "weight", "event", "callback", "seq", "remaining", "rate")
 
     def __init__(
         self,
-        nbytes: float,
+        size: float,
         weight: float,
         event: Optional[Event],
         callback: Optional[Callable[[], None]],
+        remaining: float,
+        seq: int = 0,
     ):
-        self.size = float(nbytes)
+        self.size = size
         self.weight = weight
         # Exactly one of the two is set: the Event a caller waits on, or
         # the callback a zero-delay bare entry calls once the flow drains.
         self.event = event
         self.callback = callback
-        self.seq = 0  # link-local join order (deterministic ties)
-        self.vfinish = 0.0  # virtual-time mode: finish tag
-        self.remaining = 0.0  # water-filling mode: bytes left
-        self.rate = 0.0  # water-filling mode: current rate
+        self.seq = seq  # link-local join order (deterministic ties)
+        self.remaining = remaining
+        self.rate = 0.0
 
 
 class FairShareLink:
@@ -98,13 +106,15 @@ class FairShareLink:
         self.bytes_completed = 0.0
         self._last_update = env.now
         self._seq = 0
-        # Virtual-time state (fast path).
-        self._vheap: List = []  # (vfinish, seq, flow)
+        # Virtual-time state: (vfinish, seq, weight, size, callback, event).
+        self._vheap: List[tuple] = []
         self._V = 0.0
         self._W = 0.0  # total active weight
         self._n = 0
+        # Set by the join that finds the link idle, and read only while
+        # flows are active: the weight every active flow shares, and
+        # per_flow_cap / that weight, the cap on dV/dt (None: no cap).
         self._uniform_weight: Optional[float] = None
-        #: per_flow_cap / uniform weight: the cap on dV/dt (None: no cap).
         self._vcap: Optional[float] = None
         # Water-filling state (engaged only for mixed weights + cap).
         self._wf_flows: Optional[List[_Flow]] = None
@@ -112,7 +122,7 @@ class FairShareLink:
         # callback is bound once, not per arm.
         self._timer: Optional[Timeout] = None
         self._timer_at = 0.0
-        self._wake = self._step
+        self._wake = self._on_timer
 
     # -- public surface --------------------------------------------------
     @property
@@ -139,10 +149,7 @@ class FairShareLink:
         if not self._n:
             return 0.0
         v_now = self._V + (elapsed * self._vrate() if elapsed > 0 else 0.0)
-        return sum(
-            max(0.0, (flow.vfinish - v_now) * flow.weight)
-            for _tag, _seq, flow in self._vheap
-        )
+        return sum(max(0.0, (entry[0] - v_now) * entry[2]) for entry in self._vheap)
 
     def instantaneous_rate(self) -> float:
         """Equal-share per-flow rate right now (full bandwidth when idle).
@@ -178,122 +185,161 @@ class FairShareLink:
         are active.  The optional per-flow cap still applies, and
         bandwidth left unused by capped flows is redistributed to the
         uncapped ones (water-filling).
+
+        On virtual time (every flow's weight equal, or no cap) the join
+        is inlined here: advance ``V`` to ``env.now``, finish the drained
+        flows, push the new flow's tag and point the wake timer at the
+        earliest tag, on local copies of ``V``, ``W`` and ``n``.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
-        event = Event(self.env) if callback is None else None
-        flow = _Flow(nbytes, weight, event, callback)
+        env = self.env
+        event = Event(env) if callback is None else None
+        size = float(nbytes)
         if nbytes == 0:
-            self._finish(flow)
-        else:
-            self._step(None, flow)
+            self._finish(size, callback, event)
+            return event
+        now = env._now
+        if self._wf_flows is not None:
+            self._wf_sync(now)  # may drain idle: then join on virtual time
+            if self._wf_flows is not None:
+                self._step(now, _Flow(size, weight, event, callback, size))
+                return event
+        heap = self._vheap
+        n = self._n
+        V = self._V
+        W = self._W
+        # n == 0 implies V == W == 0 and nothing to drain.
+        if n:
+            elapsed = now - self._last_update
+            if elapsed > 0:
+                # dV/dt, the service per unit weight (see _vrate).
+                rate = self.bandwidth / W
+                vcap = self._vcap
+                if vcap is not None and vcap < rate:
+                    rate = vcap
+                V += elapsed * rate
+            while heap:
+                entry = heap[0]
+                if (entry[0] - V) * entry[2] > _EPSILON:
+                    break
+                _heappop(heap)
+                W -= entry[2]
+                n -= 1
+                self.bytes_completed += entry[3]
+                if entry[4] is None:
+                    entry[5].succeed()
+                else:
+                    env.call_in(0.0, entry[4])
+            if n == 0:
+                V = 0.0
+                W = 0.0
+        self._last_update = now
+        cap = self.per_flow_cap
+        if n == 0:
+            self._uniform_weight = weight
+            # Weights are uniform on this path, so the cap binds for
+            # every flow or for none.
+            self._vcap = None if cap is None else cap / weight
+        elif cap is not None and weight != self._uniform_weight:
+            self._V, self._W, self._n = V, W, n
+            self._enter_waterfill()
+            self._step(now, _Flow(size, weight, event, callback, size))
+            return event
+        self._seq = seq = self._seq + 1
+        _heappush(heap, (V + size / weight, seq, weight, size, callback, event))
+        W += weight
+        self._V = V
+        self._W = W
+        self._n = n + 1
+        rate = self.bandwidth / W
+        vcap = self._vcap
+        if vcap is not None and vcap < rate:
+            rate = vcap
+        delay = (heap[0][0] - V) / rate
+        when = now + delay
+        timer = self._timer
+        if timer is not None:
+            if self._timer_at == when:
+                return event  # earliest finish unchanged — keep the timer
+            timer.cancel()
+        self._timer = timer = env.timeout(delay)
+        self._timer_at = when
+        timer.callbacks.append(self._wake)
         return event
 
     def time_to_transfer(self, nbytes: float) -> float:
         """Uncontended duration for ``nbytes`` (planning helper)."""
         return nbytes / self.bandwidth
 
-    # -- the one join/wake path -------------------------------------------
-    def _step(self, timer: Optional[Event] = None, flow: Optional[_Flow] = None) -> None:
-        """Advance to ``env.now``, finish drained flows, admit ``flow``,
-        and point the single wake timer at the earliest finish.
-
-        This is both the wake timer's callback (``timer`` is the fired
-        timer) and the whole of a join (``flow`` is the new flow).  The
-        virtual-time path is inlined — the service rate, the drain loop
-        and the re-arm, on local copies of ``V``, ``W`` and ``n`` — so a
-        join or a wake costs one call.
-        """
+    # -- the wake timer ----------------------------------------------------
+    def _on_timer(self, _timer: Event) -> None:
+        """The wake timer fired: advance ``V`` to ``env.now``, finish the
+        drained flows, and re-arm for the earliest tag or go idle."""
+        self._timer = None
         env = self.env
         now = env._now
-        if timer is not None:
-            self._timer = None
         if self._wf_flows is not None:
-            self._wf_sync(now)  # may drain idle and return to virtual time
-        if self._wf_flows is not None:
-            if flow is not None:
-                self._wf_admit(flow)
-        else:
-            # n == 0 implies V == W == 0 and nothing to drain.
-            n = self._n
-            V = self._V
-            W = self._W
-            if n:
-                elapsed = now - self._last_update
-                if elapsed > 0:
-                    # dV/dt, the service per unit weight (see _vrate).
-                    rate = self.bandwidth / W
-                    capped = self._vcap
-                    if capped is not None and capped < rate:
-                        rate = capped
-                    V += elapsed * rate
-                heap = self._vheap
-                while heap and (heap[0][0] - V) * heap[0][2].weight <= _EPSILON:
-                    drained = _heappop(heap)[2]
-                    W -= drained.weight
-                    n -= 1
-                    self._finish(drained)
-                if n == 0:
-                    V = 0.0
-                    W = 0.0
-                    self._uniform_weight = self._vcap = None
-            self._last_update = now
-            if flow is not None:
-                weight = flow.weight
-                cap = self.per_flow_cap
-                if n and cap is not None and weight != self._uniform_weight:
-                    self._V, self._W, self._n = V, W, n
-                    self._enter_waterfill()
-                    self._wf_admit(flow)
-                else:
-                    if n == 0:
-                        self._uniform_weight = weight
-                        # Weights are uniform on this path, so the cap
-                        # binds for every flow or for none.
-                        self._vcap = None if cap is None else cap / weight
-                    self._seq = seq = self._seq + 1
-                    flow.seq = seq
-                    flow.vfinish = vfinish = V + flow.size / weight
-                    _heappush(self._vheap, (vfinish, seq, flow))
-                    W += weight
-                    n += 1
-            if self._wf_flows is None:
-                self._V, self._W, self._n = V, W, n
-
-        flows = self._wf_flows
-        if flows is not None:
-            self._wf_rates()
-            delay = min(flow.remaining / flow.rate for flow in flows)
-        elif self._n:
-            rate = self.bandwidth / self._W
-            capped = self._vcap
-            if capped is not None and capped < rate:
-                rate = capped
-            delay = (self._vheap[0][0] - self._V) / rate
-        else:
-            if self._timer is not None:
-                self._timer.cancel()
-                self._timer = None
+            self._wf_sync(now)  # may drain idle: then nothing to re-arm
+            if self._wf_flows is not None:
+                self._step(now)
             return
-        when = now + delay
-        timer = self._timer
-        if timer is not None:
-            if self._timer_at == when:
-                return  # earliest finish unchanged — keep the timer
-            timer.cancel()
+        # A virtual-time timer is cancelled whenever the link drains
+        # idle, so at least one flow is active here.
+        heap = self._vheap
+        n = self._n
+        V = self._V
+        W = self._W
+        elapsed = now - self._last_update
+        if elapsed > 0:
+            rate = self.bandwidth / W
+            vcap = self._vcap
+            if vcap is not None and vcap < rate:
+                rate = vcap
+            V += elapsed * rate
+        while heap:
+            entry = heap[0]
+            if (entry[0] - V) * entry[2] > _EPSILON:
+                break
+            _heappop(heap)
+            W -= entry[2]
+            n -= 1
+            self.bytes_completed += entry[3]
+            if entry[4] is None:
+                entry[5].succeed()
+            else:
+                env.call_in(0.0, entry[4])
+        self._last_update = now
+        self._n = n
+        if n == 0:
+            self._V = 0.0
+            self._W = 0.0
+            return
+        self._V = V
+        self._W = W
+        rate = self.bandwidth / W
+        vcap = self._vcap
+        if vcap is not None and vcap < rate:
+            rate = vcap
+        delay = (heap[0][0] - V) / rate
         self._timer = timer = env.timeout(delay)
-        self._timer_at = when
+        self._timer_at = now + delay
         timer.callbacks.append(self._wake)
 
-    def _finish(self, flow: _Flow) -> None:
+    def _finish(
+        self,
+        size: float,
+        callback: Optional[Callable[[], None]],
+        event: Optional[Event],
+    ) -> None:
         """Count a drained flow and report it to its owner."""
-        self.bytes_completed += flow.size
-        if flow.callback is None:
-            flow.event.succeed()
+        self.bytes_completed += size
+        if callback is None:
+            event.succeed()
         else:
-            self.env.call_in(0.0, flow.callback)
+            self.env.call_in(0.0, callback)
 
     def _vrate(self) -> float:
         """dV/dt: service per unit weight delivered to each active flow."""
@@ -305,23 +351,37 @@ class FairShareLink:
     # -- water-filling slow path (mixed weights under a cap) -------------
     def _enter_waterfill(self) -> None:
         """Materialize per-flow byte counters and leave virtual time."""
-        flows: List[_Flow] = []
-        while self._vheap:
-            _tag, _seq, flow = _heappop(self._vheap)
-            flow.remaining = (flow.vfinish - self._V) * flow.weight
-            flows.append(flow)
-        flows.sort(key=lambda flow: flow.seq)
-        self._wf_flows = flows
+        V = self._V
+        self._wf_flows = [
+            _Flow(size, weight, event, callback, (vfinish - V) * weight, seq)
+            for vfinish, seq, weight, size, callback, event in sorted(
+                self._vheap, key=_by_seq
+            )
+        ]
+        self._vheap.clear()
         self._V = 0.0
         self._W = 0.0
         self._n = 0
-        self._uniform_weight = self._vcap = None
 
-    def _wf_admit(self, flow: _Flow) -> None:
-        self._seq += 1
-        flow.seq = self._seq
-        flow.remaining = flow.size
-        self._wf_flows.append(flow)
+    def _step(self, now: float, flow: Optional[_Flow] = None) -> None:
+        """The water-filling step after a join or a wake: admit ``flow``
+        (the joining one, if any), recompute every flow's rate and point
+        the single wake timer at the earliest finish (kept when that
+        instant is unchanged)."""
+        if flow is not None:
+            self._seq = flow.seq = self._seq + 1
+            self._wf_flows.append(flow)
+        self._wf_rates()
+        delay = min(wf.remaining / wf.rate for wf in self._wf_flows)
+        when = now + delay
+        timer = self._timer
+        if timer is not None:
+            if self._timer_at == when:
+                return
+            timer.cancel()
+        self._timer = timer = self.env.timeout(delay)
+        self._timer_at = when
+        timer.callbacks.append(self._wake)
 
     def _wf_rates(self) -> None:
         """Water-filling under the uniform per-flow cap.
@@ -353,7 +413,8 @@ class FairShareLink:
             active = uncapped
 
     def _wf_sync(self, now: float) -> None:
-        """Water-filling counterpart of the virtual-time drain in :meth:`_step`."""
+        """Advance the water-filling byte counters to ``now`` and finish
+        the drained flows; back to virtual time if that drains the link."""
         flows = self._wf_flows
         elapsed = now - self._last_update
         self._last_update = now
@@ -363,7 +424,7 @@ class FairShareLink:
         survivors: List[_Flow] = []
         for flow in flows:  # join order: oldest completes first
             if flow.remaining <= _EPSILON:
-                self._finish(flow)
+                self._finish(flow.size, flow.callback, flow.event)
             else:
                 survivors.append(flow)
         if survivors:
@@ -374,7 +435,6 @@ class FairShareLink:
             self._V = 0.0
             self._W = 0.0
             self._n = 0
-            self._uniform_weight = self._vcap = None
 
 
 class SerialLink:

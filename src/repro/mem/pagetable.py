@@ -51,11 +51,19 @@ class PageTable:
         return last - first + 1
 
     def map_range(self, va: int, size: int) -> None:
-        """Eagerly populate mappings for a range (pre-faulted buffer)."""
+        """Eagerly populate mappings for a range (pre-faulted buffer).
+
+        Unmapped pages take consecutive frames in page order — the
+        frames one :meth:`_allocate_frame` call per page would hand out.
+        """
         first = va // self.page_size
+        mapping = self._mapping
+        frame = self._next_frame
         for vpn in range(first, first + self.pages_spanned(va, size)):
-            if vpn not in self._mapping:
-                self._mapping[vpn] = self._allocate_frame()
+            if vpn not in mapping:
+                mapping[vpn] = frame
+                frame += 1
+        self._next_frame = frame
 
     def translate(self, va: int) -> Tuple[int, bool]:
         """Return ``(pa, faulted)``; populates the mapping on a fault."""

@@ -10,6 +10,7 @@ absorbed on-chip or leak to DRAM.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -104,7 +105,7 @@ class MemorySystem:
         self.iommu.attach_metrics(env.metrics, prefix="mem.iommu")
         self._nodes: Dict[int, MemoryNode] = {}
         self._upi_links: Dict[int, FairShareLink] = {}
-        #: ``(node, from_socket, write)`` -> ``(byte counter, links)``,
+        #: ``(node, from_socket, write)`` -> ``(byte counter, transfer)``,
         #: resolved on first use (see :meth:`_route`).
         self._routes: Dict[Tuple[int, int, bool], tuple] = {}
         #: Fleet platforms opt into the remote-translation cost model
@@ -275,7 +276,12 @@ class MemorySystem:
         Returns the completion event, or with ``callback`` reports the
         way :meth:`FairShareLink.transfer` does and returns None.
         """
-        return self._flow(node_id, nbytes, from_socket, False, callback)
+        route = self._routes.get((node_id, from_socket, False))
+        if route is None:
+            route = self._route(node_id, from_socket, False)
+        counter, transfer = route
+        counter.add(nbytes)
+        return transfer(nbytes, 1.0, callback)
 
     def write_flow(
         self,
@@ -284,43 +290,50 @@ class MemorySystem:
         from_socket: int,
         callback: Optional[Callable[[], None]] = None,
     ) -> Optional[Event]:
-        return self._flow(node_id, nbytes, from_socket, True, callback)
-
-    def _flow(
-        self,
-        node_id: int,
-        nbytes: float,
-        from_socket: int,
-        write: bool,
-        callback: Optional[Callable[[], None]],
-    ) -> Optional[Event]:
-        key = (node_id, from_socket, write)
-        route = self._routes.get(key)
+        route = self._routes.get((node_id, from_socket, True))
         if route is None:
-            route = self._routes[key] = self._route(node_id, from_socket, write)
-        counter, links = route
+            route = self._route(node_id, from_socket, True)
+        counter, transfer = route
         counter.add(nbytes)
-        if len(links) == 1:
-            return links[0].transfer(nbytes, callback=callback)
-        # Every leg moves all the bytes; the flow is done when the
-        # slowest drains.
-        event = Event(self.env) if callback is None else None
-        join = _Join(self.env, len(links), event, callback)
-        for link in links:
-            link.transfer(nbytes, callback=join)
-        return event
+        return transfer(nbytes, 1.0, callback)
 
-    def _route(self, node_id: int, from_socket: int, write: bool):
-        """``(byte counter, links)`` a flow crosses: the node's link, a
-        CXL device's internal bus, and the home socket's UPI link when
-        remote — fixed once the node is registered."""
+    def _route(self, node_id: int, from_socket: int, write: bool) -> tuple:
+        """Resolve and cache ``(byte counter, transfer)`` for a flow route.
+
+        The links a flow crosses — the node's link, a CXL device's
+        internal bus, and the home socket's UPI link when remote — are
+        fixed once the node is registered.  ``transfer`` is the one
+        link's :meth:`FairShareLink.transfer`, or for several links a
+        :class:`_Join` fan-out over all of them.
+        """
         node = self.node(node_id)
         links = [node.write_link if write else node.read_link]
         if node.internal_link is not None:
             links.append(node.internal_link)
         if self.topology.is_remote(from_socket, node_id):
             links.append(self._upi_links[node.socket])
-        return (node.wr_bytes if write else node.rd_bytes), tuple(links)
+        if len(links) == 1:
+            transfer = links[0].transfer
+        else:
+            transfer = functools.partial(self._fan_out, tuple(links))
+        route = (node.wr_bytes if write else node.rd_bytes), transfer
+        self._routes[(node_id, from_socket, write)] = route
+        return route
+
+    def _fan_out(
+        self,
+        links: Tuple[FairShareLink, ...],
+        nbytes: float,
+        weight: float,
+        callback: Optional[Callable[[], None]],
+    ) -> Optional[Event]:
+        """One flow over several links: every leg moves all the bytes,
+        and the flow is done when the slowest drains."""
+        event = Event(self.env) if callback is None else None
+        join = _Join(self.env, len(links), event, callback)
+        for link in links:
+            link.transfer(nbytes, weight, join)
+        return event
 
     # -- presets ---------------------------------------------------------------
     @classmethod

@@ -31,6 +31,10 @@ from repro.runtime.wait import WaitMode, wait_for
 KB = 1024
 MB = 1024 * KB
 
+#: Completion record requested, page faults blocked on: every
+#: descriptor this workload builds.
+_COMPLETION_FLAGS = DescriptorFlags.REQUEST_COMPLETION | DescriptorFlags.BLOCK_ON_FAULT
+
 
 @dataclass(frozen=True)
 class SarParams:
@@ -110,8 +114,7 @@ def _dsa_transfer(
                 WorkDescriptor(
                     opcode=Opcode.MEMMOVE,
                     pasid=space.pasid,
-                    flags=DescriptorFlags.REQUEST_COMPLETION
-                    | DescriptorFlags.BLOCK_ON_FAULT,
+                    flags=_COMPLETION_FLAGS,
                     src=bounce.va,
                     dst=bounce.va + params.segment_size,
                     size=segment,

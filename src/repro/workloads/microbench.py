@@ -28,6 +28,12 @@ from repro.runtime.wait import WaitMode, wait_for
 from repro.sim.stats import Histogram
 
 
+#: Completion record requested, page faults blocked on; with
+#: ``cache_control`` the destination is allocated into the LLC too.
+_COMPLETION_FLAGS = DescriptorFlags.REQUEST_COMPLETION | DescriptorFlags.BLOCK_ON_FAULT
+_CACHED_FLAGS = _COMPLETION_FLAGS | DescriptorFlags.CACHE_CONTROL
+
+
 @dataclass
 class MicrobenchConfig:
     """One sweep point of the microbenchmark."""
@@ -146,13 +152,10 @@ def _allocate_member(space: AddressSpace, cfg: MicrobenchConfig) -> Dict[str, Bu
 
 
 def _build_descriptor(cfg: MicrobenchConfig, member: Dict[str, Buffer], pasid: int) -> WorkDescriptor:
-    flags = DescriptorFlags.REQUEST_COMPLETION | DescriptorFlags.BLOCK_ON_FAULT
-    if cfg.cache_control:
-        flags |= DescriptorFlags.CACHE_CONTROL
     return WorkDescriptor(
         opcode=cfg.opcode,
         pasid=pasid,
-        flags=flags,
+        flags=_CACHED_FLAGS if cfg.cache_control else _COMPLETION_FLAGS,
         src=member["src"].va if "src" in member else 0,
         src2=member["src2"].va if "src2" in member else 0,
         dst=member["dst"].va if "dst" in member else 0,

@@ -30,6 +30,10 @@ from repro.sim.stats import Histogram
 
 KB = 1024
 
+#: Completion record requested, page faults blocked on: every
+#: descriptor this workload builds.
+_COMPLETION_FLAGS = DescriptorFlags.REQUEST_COMPLETION | DescriptorFlags.BLOCK_ON_FAULT
+
 
 class DigestMode(enum.Enum):
     NONE = "none"  # data digest disabled
@@ -128,8 +132,7 @@ def _io_worker(
                 descriptor = WorkDescriptor(
                     opcode=Opcode.CRCGEN,
                     pasid=space.pasid,
-                    flags=DescriptorFlags.REQUEST_COMPLETION
-                    | DescriptorFlags.BLOCK_ON_FAULT,
+                    flags=_COMPLETION_FLAGS,
                     src=payload_buffer.va,
                     size=cfg.io_size,
                 )

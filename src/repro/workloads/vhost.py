@@ -28,6 +28,15 @@ from repro.runtime.driver import Portal
 from repro.runtime.submit import prepare_descriptor, submit
 
 
+#: Every packet copy: completion record, block on fault, and the
+#: destination allocated into the LLC for the guest to read.
+_PACKET_FLAGS = (
+    DescriptorFlags.REQUEST_COMPLETION
+    | DescriptorFlags.BLOCK_ON_FAULT
+    | DescriptorFlags.CACHE_CONTROL
+)
+
+
 @dataclass(frozen=True)
 class VhostCosts:
     """Calibrated per-packet CPU costs of the Vhost enqueue/dequeue path."""
@@ -204,9 +213,7 @@ def _dsa_queue(
                 WorkDescriptor(
                     opcode=Opcode.MEMMOVE,
                     pasid=space.pasid,
-                    flags=DescriptorFlags.REQUEST_COMPLETION
-                    | DescriptorFlags.BLOCK_ON_FAULT
-                    | DescriptorFlags.CACHE_CONTROL,
+                    flags=_PACKET_FLAGS,
                     src=src.va,
                     dst=dst.va,
                     size=cfg.packet_size,

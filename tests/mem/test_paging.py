@@ -57,6 +57,34 @@ class TestPageTable:
         assert pages * PAGE_4K >= size
         assert (pages - 1) * PAGE_4K < size + (va % PAGE_4K) + PAGE_4K
 
+    @pytest.mark.parametrize(
+        "page_size,premapped,va,size",
+        [
+            (PAGE_4K, [], 0x3000, 9 * PAGE_4K + 17),  # fresh
+            (PAGE_4K, [0x5000, 0x9000, 0x20000], 0x3000, 9 * PAGE_4K),  # partly mapped
+            (PAGE_4K, [0x3000 + i * PAGE_4K for i in range(4)], 0x3000, 4 * PAGE_4K),
+            (PAGE_2M, [], PAGE_2M + 5, 3 * PAGE_2M),  # 2 MiB pages, fresh
+            (PAGE_2M, [2 * PAGE_2M], PAGE_2M, 4 * PAGE_2M),  # 2 MiB, partly mapped
+            (PAGE_4K, [0x1000], 0x1000, 0),  # empty range
+        ],
+    )
+    def test_map_range_matches_per_page_allocation(self, page_size, premapped, va, size):
+        table = PageTable(page_size)
+        reference = PageTable(page_size)
+        for address in premapped:
+            table.translate(address)
+            reference.translate(address)
+        table.map_range(va, size)
+        # The per-page loop map_range replaced: one frame call per page.
+        first = va // page_size
+        for vpn in range(first, first + reference.pages_spanned(va, size)):
+            if vpn not in reference._mapping:
+                reference._mapping[vpn] = reference._allocate_frame()
+        assert table._mapping == reference._mapping
+        assert list(table._mapping) == list(reference._mapping)
+        assert table._next_frame == reference._next_frame
+        assert table.translate(va + size)[0] == reference.translate(va + size)[0]
+
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
             PageTable().translate(-1)
