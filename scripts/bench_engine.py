@@ -12,6 +12,10 @@ workloads that isolate the event-loop hot path (no DSA model code):
 * ``fanout``        — processes waiting on ``all_of`` conditions over
   timeout fan-outs.
 
+Two more are recorded outside the gated geomean: ``high_pending`` (1M
+concurrent timers) and ``same_instant`` (zero-delay ``succeed()``
+hand-offs between positive timeouts).
+
 "Before" numbers come from a verbatim copy of the pre-optimization
 engine (commit 447e725) embedded below as the ``legacy`` classes, so
 the comparison runs both implementations on the same interpreter, same
@@ -293,16 +297,49 @@ def high_pending(env, n_timers=1_000_000, qd=16):
     return n_timers
 
 
+def same_instant(env, n_chains=64, n_hops=1500, fan=3):
+    """Zero-delay ``succeed()`` hand-offs interleaved with positive timeouts.
+
+    Each chain is a callback pipeline shaped like a descriptor's: a
+    positive timeout, then ``fan`` zero-delay hand-offs (an event whose
+    callback triggers the next), then the next timeout.  Chains share
+    instants, so hand-offs pushed at an instant queue behind heap
+    entries already due then — the case the heap calendar's same-instant
+    lane serves.  Reported outside the geomean gate, which it would
+    otherwise re-weight.
+    """
+
+    def start(chain, hop):
+        if hop < n_hops:
+            env.timeout(1.0 + chain % 4).callbacks.append(
+                lambda _ev: handoff(chain, hop, fan)
+            )
+
+    def handoff(chain, hop, left):
+        if not left:
+            start(chain, hop + 1)
+            return
+        event = env.event()
+        event.callbacks.append(lambda _ev: handoff(chain, hop, left - 1))
+        event.succeed()
+
+    for chain in range(n_chains):
+        start(chain, 0)
+    env.run()
+    return n_chains * n_hops * (1 + fan)
+
+
 WORKLOADS = {
     "timeout_chain": timeout_chain,
     "ping_pong": ping_pong,
     "fanout": fanout,
 }
 
-#: Measured and recorded, but kept out of the gated geomean (see the
-#: high_pending docstring).  Capped repeats: one run is ~10s of heapq.
+#: Measured and recorded, but kept out of the gated geomean (see each
+#: docstring).  Capped repeats: one high_pending run is ~10s of heapq.
 EXTRA_WORKLOADS = {
     "high_pending": high_pending,
+    "same_instant": same_instant,
 }
 
 

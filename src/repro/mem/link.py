@@ -38,6 +38,12 @@ water-filling mode (capped flows drain at the cap, the unused share is
 redistributed to the uncapped flows) that keeps a :class:`_Flow` byte
 counter per flow and recomputes rates per membership change in
 ``_step``; it returns to virtual time once the link drains idle.
+
+Far from t = 0 one ulp of the clock can carry more bytes than the
+drain tolerance ``_EPSILON``, so rounding can leave a flow a residual
+whose own wake would land back on ``now``.  Both modes drain such a
+flow at that instant instead of re-arming there: a wake at the instant
+it fires would advance nothing and fire again forever.
 """
 
 from __future__ import annotations
@@ -299,33 +305,43 @@ class FairShareLink:
             if vcap is not None and vcap < rate:
                 rate = vcap
             V += elapsed * rate
-        while heap:
-            entry = heap[0]
-            if (entry[0] - V) * entry[2] > _EPSILON:
-                break
-            _heappop(heap)
-            W -= entry[2]
-            n -= 1
-            self.bytes_completed += entry[3]
-            if entry[4] is None:
-                entry[5].succeed()
-            else:
-                env.call_in(0.0, entry[4])
         self._last_update = now
-        self._n = n
-        if n == 0:
-            self._V = 0.0
-            self._W = 0.0
-            return
+        while True:
+            while heap:
+                entry = heap[0]
+                if (entry[0] - V) * entry[2] > _EPSILON:
+                    break
+                _heappop(heap)
+                W -= entry[2]
+                n -= 1
+                self.bytes_completed += entry[3]
+                if entry[4] is None:
+                    entry[5].succeed()
+                else:
+                    env.call_in(0.0, entry[4])
+            if n == 0:
+                self._n = 0
+                self._V = 0.0
+                self._W = 0.0
+                return
+            rate = self.bandwidth / W
+            vcap = self._vcap
+            if vcap is not None and vcap < rate:
+                rate = vcap
+            delay = (heap[0][0] - V) / rate
+            when = now + delay
+            if when != now:
+                break
+            # The earliest tag is nearer than the clock can resolve at
+            # ``now``: a wake would re-fire at this instant with ``V``
+            # stuck.  Serve it here instead: advance ``V`` to the tag,
+            # which drains that flow (and any tied with it).
+            V = heap[0][0]
         self._V = V
         self._W = W
-        rate = self.bandwidth / W
-        vcap = self._vcap
-        if vcap is not None and vcap < rate:
-            rate = vcap
-        delay = (heap[0][0] - V) / rate
+        self._n = n
         self._timer = timer = env.timeout(delay)
-        self._timer_at = now + delay
+        self._timer_at = when
         timer.callbacks.append(self._wake)
 
     def _finish(
@@ -371,9 +387,22 @@ class FairShareLink:
         if flow is not None:
             self._seq = flow.seq = self._seq + 1
             self._wf_flows.append(flow)
-        self._wf_rates()
-        delay = min(wf.remaining / wf.rate for wf in self._wf_flows)
-        when = now + delay
+        while True:
+            self._wf_rates()
+            delay = min(wf.remaining / wf.rate for wf in self._wf_flows)
+            when = now + delay
+            if when != now or flow is not None:
+                break
+            # As in _on_timer: a finish nearer than the clock can resolve
+            # at ``now`` would re-fire this wake here forever, so the
+            # flows it covers drain at this instant.  (A join arms the
+            # wake at ``now`` instead, and that wake lands here.)
+            for wf in self._wf_flows:
+                if now + wf.remaining / wf.rate == now:
+                    wf.remaining = 0.0
+            self._wf_sync(now)
+            if self._wf_flows is None:
+                return  # drained idle; this wake was the only timer
         timer = self._timer
         if timer is not None:
             if self._timer_at == when:

@@ -29,7 +29,21 @@ O(log n) per-event tuple comparisons dominate.  ``auto`` starts on the
 heap and promotes one-way to a wheel past
 :data:`~repro.sim.calendar.AUTO_PROMOTE_THRESHOLD` pending entries.
 Both backends pop in the identical ``(when, priority, seq)`` total
-order, so a model never observes which one is underneath.
+order, so a model never observes which one is underneath.  Every entry
+has priority ``NORMAL``, so that order is ``(when, seq)``.
+
+The heap backend keeps a *same-instant lane* beside the heap: a FIFO
+(``collections.deque``) of the items whose computed ``when`` equals
+the clock at the push (``now + delay == now``, which also catches a
+positive delay rounded away at a large ``now``).  The entry still takes
+its ``seq``; the lane holds just the item, since its key is implied.
+The order stays exact by construction: a heap entry keyed at ``now``
+was pushed before the clock reached ``now``, so its ``seq`` is smaller
+than any lane entry's, and once the clock is at ``now`` no push can put
+a heap entry there.  So the run loop pops heap entries while the heap
+head is ``<= now``, then drains the lane without looking at the heap
+again.  On the benchmark workloads 35–40% of all entries skip the
+heap push and pop this way (docs/PERFORMANCE.md §15).
 
 The engine also recycles :class:`Timeout` objects through a bounded
 free list (``Environment(timeout_pool=...)``): ``yield env.timeout()``
@@ -43,6 +57,7 @@ the allocator.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional, TYPE_CHECKING
 
@@ -62,8 +77,8 @@ _new_event = object.__new__
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-#: Scheduling priorities (lower runs first at equal timestamps).
-URGENT = 0
+#: The priority field of every calendar entry.  Kept in the tuple so the
+#: heap and the wheel share one entry shape.
 NORMAL = 1
 
 #: Calendar compaction: when more than this many cancelled entries sit
@@ -184,7 +199,12 @@ class Event:
         env = self.env
         env._seq += 1
         if env._fast:
-            _heappush(env._calendar, (env._now + delay, NORMAL, env._seq, self))
+            now = env._now
+            when = now + delay
+            if when == now:
+                env._lane.append(self)
+            else:
+                _heappush(env._calendar, (when, NORMAL, env._seq, self))
         else:
             env._insert_slow((env._now + delay, NORMAL, env._seq, self))
         return self
@@ -231,13 +251,16 @@ class Event:
         env._cancelled_events += 1
         if self._triggered:  # a live calendar entry exists for it
             env._dead_entries += 1
-            wheel = env._wheel
-            pending = len(env._calendar) if wheel is None else len(wheel)
-            if (
-                env._dead_entries > CALENDAR_COMPACT_THRESHOLD
-                and env._dead_entries * 2 > pending
-            ):
-                env._compact()
+            # The pending count is only taken past the threshold: most
+            # cancels never reach it, and each len() is a host call.
+            if env._dead_entries > CALENDAR_COMPACT_THRESHOLD:
+                wheel = env._wheel
+                if wheel is None:
+                    pending = len(env._calendar) + len(env._lane)
+                else:
+                    pending = len(wheel)
+                if env._dead_entries * 2 > pending:
+                    env._compact()
         return True
 
     def defuse(self) -> None:
@@ -450,6 +473,9 @@ class Environment:
             )
         self._now = float(initial_time)
         self._calendar: List = []
+        # The same-instant lane (heap backend only): items due at _now,
+        # in seq order (see the module docstring).
+        self._lane: deque = deque()
         self._backend = backend
         self._wheel: Optional[TimingWheel] = TimingWheel() if backend == "wheel" else None
         # One flag, not two: the heap fast path tests a single slot
@@ -532,7 +558,12 @@ class Environment:
             ev._cancelled = False
         self._seq += 1
         if self._fast:
-            _heappush(self._calendar, (self._now + delay, NORMAL, self._seq, ev))
+            now = self._now
+            when = now + delay
+            if when == now:
+                self._lane.append(ev)
+            else:
+                _heappush(self._calendar, (when, NORMAL, self._seq, ev))
         else:
             self._insert_slow((self._now + delay, NORMAL, self._seq, ev))
         return ev
@@ -551,7 +582,12 @@ class Environment:
             raise ValueError(f"negative timeout delay: {delay!r}")
         self._seq += 1
         if self._fast:
-            _heappush(self._calendar, (self._now + delay, NORMAL, self._seq, fn))
+            now = self._now
+            when = now + delay
+            if when == now:
+                self._lane.append(fn)
+            else:
+                _heappush(self._calendar, (when, NORMAL, self._seq, fn))
         else:
             self._insert_slow((self._now + delay, NORMAL, self._seq, fn))
 
@@ -565,16 +601,21 @@ class Environment:
         return Condition(self, events, wait_all=False)
 
     # -- scheduling ------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
         # No auto-promotion check here: pending-count growth into the
         # millions is always timeout-driven (``timeout()`` checks), and
         # keeping this non-pooled path two branches shorter matters for
         # succeed/fail-heavy workloads.
         self._seq += 1
         if self._fast:
-            _heappush(self._calendar, (self._now + delay, priority, self._seq, event))
+            now = self._now
+            when = now + delay
+            if when == now:
+                self._lane.append(event)
+            else:
+                _heappush(self._calendar, (when, NORMAL, self._seq, event))
         else:
-            self._insert_slow((self._now + delay, priority, self._seq, event))
+            self._insert_slow((self._now + delay, NORMAL, self._seq, event))
 
     def _insert_slow(self, entry) -> None:
         """Calendar insert for the wheel and auto backends.
@@ -627,9 +668,9 @@ class Environment:
     def _compact(self) -> None:
         """Rebuild the calendar without cancelled entries (one O(n) pass).
 
-        In place: ``run()`` binds the calendar list locally for speed,
-        so the list object's identity must survive compaction.  On the
-        wheel backend the sweep is delegated bucket-by-bucket.
+        In place: ``run()`` binds the calendar list and the lane
+        locally for speed, so their identities must survive compaction.
+        On the wheel backend the sweep is delegated bucket-by-bucket.
         """
         wheel = self._wheel
         if wheel is not None:
@@ -638,9 +679,15 @@ class Environment:
             return
         calendar = self._calendar
         live = [entry for entry in calendar if not _is_dead(entry)]
-        self._stale_timers += len(calendar) - len(live)
+        lane = self._lane
+        live_lane = [
+            item for item in lane if not (type(item) in _EVENT_TYPES and item._cancelled)
+        ]
+        self._stale_timers += len(calendar) - len(live) + len(lane) - len(live_lane)
         calendar[:] = live
         heapq.heapify(calendar)
+        lane.clear()
+        lane.extend(live_lane)
         self._dead_entries = 0
 
     def _flush_cancel_metrics(self) -> None:
@@ -669,11 +716,22 @@ class Environment:
                     continue
                 return entry[0]
         calendar = self._calendar
-        while calendar and _is_dead(calendar[0]):
-            _heappop(calendar)
+        lane = self._lane
+        while True:
+            # The heap head goes first while it is due now (see run()).
+            if calendar and (not lane or calendar[0][0] <= self._now):
+                if not _is_dead(calendar[0]):
+                    return calendar[0][0]
+                _heappop(calendar)
+            elif lane:
+                item = lane[0]
+                if not (type(item) in _EVENT_TYPES and item._cancelled):
+                    return self._now
+                lane.popleft()
+            else:
+                return float("inf")
             self._stale_timers += 1
             self._dead_entries -= 1
-        return calendar[0][0] if calendar else float("inf")
 
     def step(self) -> None:
         """Process exactly one live entry from the calendar: call a bare
@@ -683,16 +741,21 @@ class Environment:
         advancing the clock — they never happened.
         """
         wheel = self._wheel
+        calendar = self._calendar
+        lane = self._lane
         while True:
             if wheel is not None:
                 entry = wheel.pop_due(float("inf"))
                 if entry is None:
                     raise SimulationError("empty calendar")
                 when, _prio, _seq, event = entry
+            elif calendar and (not lane or calendar[0][0] <= self._now):
+                when, _prio, _seq, event = _heappop(calendar)
+            elif lane:
+                when = self._now
+                event = lane.popleft()
             else:
-                if not self._calendar:
-                    raise SimulationError("empty calendar")
-                when, _prio, _seq, event = _heappop(self._calendar)
+                raise SimulationError("empty calendar")
             if type(event) not in _EVENT_TYPES:  # bare entry
                 self._now = when
                 event()
@@ -720,6 +783,11 @@ class Environment:
         bare entry (:meth:`call_in`) is told apart from an event by one
         set lookup on its type and simply called.
 
+        The heap is popped while its head is due at or before ``now``;
+        then the same-instant lane drains in its own inner loop, which
+        never re-checks the heap (the module docstring has the
+        argument), before the next heap pop moves the clock.
+
         Retired :class:`Timeout` objects are recycled here: after an
         event's callbacks run (or a cancelled entry is discarded), a
         refcount of exactly 2 — the loop local plus the ``getrefcount``
@@ -744,8 +812,52 @@ class Environment:
                     self._run_wheel(wheel, until, pool, pool_limit)
                     return
                 calendar = self._calendar
+                lane = self._lane
                 pop = _heappop
-                while calendar:
+                popleft = lane.popleft
+                while True:
+                    if lane and (not calendar or calendar[0][0] > self._now):
+                        # Every lane entry is due now, after every heap
+                        # entry at now, and no heap entry at now can be
+                        # pushed while it drains: no heap check per entry.
+                        while lane:
+                            event = popleft()
+                            if type(event) not in event_types:  # bare entry
+                                event()
+                                continue
+                            if event._cancelled:
+                                self._stale_timers += 1
+                                self._dead_entries -= 1
+                                if (
+                                    type(event) is timeout_cls
+                                    and len(pool) < pool_limit
+                                    and refcount(event) == 2
+                                ):
+                                    event._cancelled = False
+                                    event._defused = False
+                                    event._value = None
+                                    event.callbacks.clear()
+                                    pool.append(event)
+                                continue
+                            callbacks, event.callbacks = event.callbacks, None
+                            event._processed = True
+                            for callback in callbacks:
+                                callback(event)
+                            if not event._ok and not event._defused:
+                                raise event._value
+                            if (
+                                type(event) is timeout_cls
+                                and len(pool) < pool_limit
+                                and refcount(event) == 2
+                            ):
+                                event._processed = False
+                                event._defused = False
+                                event._value = None
+                                callbacks.clear()
+                                event.callbacks = callbacks
+                                pool.append(event)
+                    if not calendar:
+                        break
                     if until is not None and calendar[0][0] > until:
                         self._now = until
                         return

@@ -257,6 +257,59 @@ class TestWaterFilling:
         assert done == [pytest.approx(start + 500.0 / 6.0)]
 
 
+class TestLateClock:
+    """A wake that cannot move the clock.
+
+    Far from t=0 one ulp of the clock carries more than the link's 1e-6 B
+    residual tolerance at these rates, so rounding ``now + delay`` can
+    leave a flow a residual whose own wake rounds back to ``now``.  That
+    flow drains at this instant: the link never re-arms a wake at the
+    instant it fires, on virtual time or in water-filling.
+    """
+
+    SEEDS = range(300)
+    #: Steps at one instant before the run counts as spinning.
+    SPIN = 10_000
+
+    def _run(self, seed, waterfill):
+        rng = random.Random(seed)
+        bandwidth = rng.uniform(100.0, 3000.0)
+        env = Environment(initial_time=rng.choice([1e9, 1e10, 1e11]))
+        link = FairShareLink(env, bandwidth, per_flow_cap=bandwidth / 3 if waterfill else None)
+        sizes, done = [], []
+        for _ in range(rng.randint(1, 11)):
+            size = float(rng.randint(1, 1 << 20))
+            weight = rng.choice([0.5, 1.0, 2.0]) if waterfill else 1.0
+            sizes.append(size)
+            env.call_in(
+                rng.choice([0.0, rng.uniform(0.0, 50.0)]),
+                lambda size=size, weight=weight: link.transfer(
+                    size, weight, callback=lambda: done.append(size)
+                ),
+            )
+        waterfilled = False
+        at, same = env.now, 0
+        while env.peek() != math.inf:
+            env.step()
+            waterfilled = waterfilled or link._wf_flows is not None
+            if env.now != at:
+                at, same = env.now, 0
+            else:
+                same += 1
+                assert same < self.SPIN, f"seed {seed}: wake spins at t={at}"
+        assert sorted(done) == sorted(sizes)
+        assert link.bytes_completed == sum(sizes)
+        assert link.active_flows == 0
+        return waterfilled
+
+    def test_virtual_time_terminates(self):
+        for seed in self.SEEDS:
+            assert not self._run(seed, waterfill=False)
+
+    def test_waterfilling_terminates(self):
+        assert sum(self._run(seed, waterfill=True) for seed in self.SEEDS) > 100
+
+
 class TestBytesAccounting:
     def test_bytes_completed_counted_at_drain_not_submit(self):
         env = Environment()

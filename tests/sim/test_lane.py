@@ -1,0 +1,288 @@
+"""The heap calendar's same-instant lane (``repro.sim.engine``).
+
+On the heap backend, a push whose ``when`` equals the clock goes to a
+FIFO beside the heap instead of the heap.  The ``wheel`` backend never
+uses the lane, and neither does ``auto`` below its promotion threshold
+(a plain heap), so both are oracles: every schedule must pop in the
+same order, at the same times, with the same ``seq`` count and churn
+counters, on all three backends.
+
+The schedules mix ``call_in``, ``timeout``, ``succeed`` and ``fail`` at
+zero and positive delays, including a positive delay that rounds away
+at ``initial_time=1e12``.  An outer loop interleaves ``step()``,
+``peek()``, ``run(until=)`` and bulk cancels of timer bursts between
+the runs, so the calendar compacts while the lane holds dead entries.
+"""
+
+from itertools import count
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.sim import Environment, SimulationError
+from repro.sim.engine import CALENDAR_COMPACT_THRESHOLD
+
+BACKENDS = ("heap", "wheel", "auto")
+
+#: 1e-5 is a real delay at t=0 and rounds away at t=1e12 (ulp 1.2e-4):
+#: there it must join the lane like a zero delay.
+TINY = 1e-5
+DELAYS = (0.0, 0.0, 0.0, TINY, 1.0, 1.0, 2.5)
+
+#: A timer burst one cancel sweep past the compaction threshold.
+BURST = CALENDAR_COMPACT_THRESHOLD + 6
+
+#: In-run cancels stay below the threshold.  The wheel syncs its pending
+#: count once per bucket, so a cancel from a callback may compact on one
+#: backend and not the other; cancels from the outer loop, between runs,
+#: see exact counts on every backend.
+MAX_INRUN_CANCELS = CALENDAR_COMPACT_THRESHOLD // 2
+
+KINDS = ("call", "timeout", "succeed", "fail", "raise", "zcancel", "burst")
+
+
+class Abort(Exception):
+    """An undefused failure: it propagates out of ``run()``/``step()``."""
+
+
+def execute(program, ops, backend, initial_time):
+    """Run ``program`` under the outer-loop ``ops``; return the pop log
+    and the counters at every outer-loop checkpoint."""
+    env = Environment(initial_time=initial_time, calendar=backend)
+    log = []
+    counters = []
+    bursts = []
+    names = count()
+
+    def schedule(node):
+        kind, delay, children = node
+        name = next(names)
+
+        def fire(_event=None):
+            log.append((name, kind, env.now))
+            for child in children:
+                schedule(child)
+
+        if kind == "call":
+            env.call_in(delay, fire)
+        elif kind == "timeout":
+            env.timeout(delay).callbacks.append(fire)
+        elif kind == "succeed":
+            event = env.event()
+            event.callbacks.append(fire)
+            event.succeed(delay=delay)
+        elif kind == "fail":
+            event = env.event()
+            event.callbacks.append(lambda ev: (ev.defuse(), fire()))
+            event.fail(RuntimeError(name), delay=delay)
+        elif kind == "raise":
+            event = env.event()
+            event.callbacks.append(fire)
+            event.fail(Abort(name), delay=delay)
+        elif kind == "zcancel":
+            # The canceller is pushed first, so it pops while the timer's
+            # entry is still pending (in the lane at a zero delay).
+            doomed = []
+            env.call_in(0.0, lambda: (doomed[0].cancel(), fire()))
+            doomed.append(env.timeout(delay))
+            doomed[0].callbacks.append(lambda _ev: log.append((name, "BUG", env.now)))
+        else:  # burst: the outer loop cancels these in bulk unless they pop
+            for k in range(BURST):
+                timer = env.timeout(delay)
+                timer.callbacks.append(lambda _ev, k=k: log.append((name, "burst", k, env.now)))
+                bursts.append(timer)
+            fire()
+
+    def checkpoint(tag):
+        log.append((tag, env.now))
+        counters.append(
+            (env._seq, env.cancelled_events, env.stale_timers, env._dead_entries)
+        )
+
+    for root in program:
+        schedule(root)
+    for op, arg in ops:
+        try:
+            if op == "step":
+                env.step()
+            elif op == "peek":
+                log.append(("peek", env.peek()))
+            elif op == "until":
+                env.run(until=env.now + arg)
+            else:  # cancel every burst timer still pending
+                for timer in bursts:
+                    timer.cancel()
+                bursts.clear()
+        except Abort as exc:
+            log.append(("abort", exc.args[0], env.now))
+        except SimulationError:
+            log.append(("empty", env.now))
+        checkpoint(op)
+    while True:
+        try:
+            env.run()
+            break
+        except Abort as exc:
+            log.append(("abort", exc.args[0], env.now))
+    checkpoint("end")
+    assert not any(entry[1] == "BUG" for entry in log)
+    return log, counters
+
+
+def assert_backends_agree(program, ops, initial_time=0.0):
+    """Heap (with the lane) against auto (a plain heap) at every
+    checkpoint, and against the wheel on the pop log, the clock, ``seq``
+    at every checkpoint and the final counters."""
+    heap_log, heap_counters = execute(program, ops, "heap", initial_time)
+    auto_log, auto_counters = execute(program, ops, "auto", initial_time)
+    wheel_log, wheel_counters = execute(program, ops, "wheel", initial_time)
+    assert heap_log == auto_log == wheel_log
+    assert heap_counters == auto_counters
+    assert [c[:2] for c in heap_counters] == [c[:2] for c in wheel_counters]
+    assert heap_counters[-1] == wheel_counters[-1]
+    assert heap_counters[-1][3] == 0  # every dead entry swept exactly once
+    return heap_log, heap_counters
+
+
+# -- the differential --------------------------------------------------------
+
+
+@st.composite
+def programs(draw, size=60):
+    """A forest of scheduling nodes ``(kind, delay, children)``."""
+    budget = [size]
+    cancels = [0]
+
+    def node(depth):
+        budget[0] -= 1
+        kind = draw(st.sampled_from(KINDS))
+        if kind == "zcancel":
+            if cancels[0] >= MAX_INRUN_CANCELS:
+                kind = "call"
+            else:
+                cancels[0] += 1
+        n_children = draw(st.integers(0, 3)) if depth < 6 else 0
+        children = []
+        for _ in range(n_children):
+            if budget[0] <= 0:
+                break
+            children.append(node(depth + 1))
+        return (kind, draw(st.sampled_from(DELAYS)), tuple(children))
+
+    roots = []
+    for _ in range(draw(st.integers(1, 6))):
+        if budget[0] <= 0:
+            break
+        roots.append(node(0))
+    return roots
+
+
+outer_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("step"), st.just(None)),
+        st.tuples(st.just("peek"), st.just(None)),
+        st.tuples(st.just("cancel"), st.just(None)),
+        st.tuples(st.just("until"), st.sampled_from([0.0, TINY, 0.5, 1.0, 2.5, 4.0])),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs(), outer_ops, st.sampled_from([0.0, 1e12]))
+def test_lane_matches_wheel_and_plain_heap(program, ops, initial_time):
+    assert_backends_agree(program, ops, initial_time)
+
+
+# -- named schedules: one per way to get the lane wrong ----------------------
+
+
+def test_rounded_delay_joins_the_lane():
+    # At 1e12 a 1e-5 delay rounds away: the entry is due now and pops
+    # between the zero-delay entries pushed around it.  Routed on
+    # ``delay == 0`` it would sit in the heap at now and pop first.
+    program = [("call", 0.0, (("call", 0.0, ()), ("call", TINY, ()), ("call", 0.0, ())))]
+    log, _ = assert_backends_agree(program, [], initial_time=1e12)
+    assert [entry[0] for entry in log[:4]] == [0, 1, 2, 3]
+    assert {entry[2] for entry in log[:4]} == {1e12}
+
+
+def test_heap_entries_due_now_precede_the_lane():
+    # Both roots (0 and 1) are heap entries at 1.0; the first one's
+    # zero-delay child (2) is pushed at 1.0, after the second root, so
+    # it pops last.
+    program = [("timeout", 1.0, (("call", 0.0, ()),)), ("call", 1.0, ())]
+    log, _ = assert_backends_agree(program, [])
+    assert [entry[0] for entry in log[:3]] == [0, 1, 2]
+
+
+def test_compaction_sweeps_dead_lane_entries():
+    # The burst parks BURST zero-delay timers in the lane and step()
+    # pops the first; cancelling the rest from the outer loop compacts the
+    # calendar with the lane full of dead entries, at the cancel that
+    # crosses the threshold.
+    program = [("burst", 0.0, (("call", 0.0, ()),)), ("call", 3.0, ())]
+    ops = [("step", None), ("cancel", None), ("peek", None), ("step", None)]
+    log, counters = assert_backends_agree(program, ops)
+    swept = CALENDAR_COMPACT_THRESHOLD + 1
+    assert counters[1][2:] == (swept, BURST - 1 - swept)  # stale, still dead
+    assert ("peek", 0.0) in log
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_peek_reads_heap_entries_due_now_before_the_lane(backend):
+    # After step(), a live heap entry is due now and a cancelled timer
+    # sits in the lane behind it: peek() stops at the live one and
+    # leaves the dead one for later, like the wheel's total order.
+    env = Environment(calendar=backend)
+    env.timeout(1.0).callbacks.append(lambda _ev: env.timeout(0.0).cancel())
+    env.timeout(1.0)
+    env.step()
+    assert env.peek() == 1.0
+    assert env.stale_timers == 0 and env._dead_entries == 1
+    env.run()
+    assert env.stale_timers == 1 and env._dead_entries == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cancelled_zero_delay_timer_never_fires(backend):
+    env = Environment(calendar=backend)
+    fired = []
+    timer = env.timeout(0.0)
+    timer.callbacks.append(lambda _ev: fired.append("timer"))
+    env.call_in(0.0, lambda: fired.append("call"))
+    timer.cancel()
+    assert env.peek() == 0.0  # the bare entry behind it is live
+    env.run()
+    assert fired == ["call"]
+    assert env.stale_timers == 1 and env._dead_entries == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_step_drains_the_lane_before_moving_the_clock(backend):
+    env = Environment(calendar=backend)
+    fired = []
+    env.call_in(1.0, lambda: (fired.append(("a", env.now)), env.call_in(0.0, later)))
+    env.call_in(1.0, lambda: fired.append(("b", env.now)))
+    env.call_in(2.0, lambda: fired.append(("c", env.now)))
+
+    def later():
+        fired.append(("later", env.now))
+
+    for _ in range(4):
+        env.step()
+    assert fired == [("a", 1.0), ("b", 1.0), ("later", 1.0), ("c", 2.0)]
+    with pytest.raises(SimulationError):
+        env.step()
+
+
+def test_zero_delay_entries_skip_the_heap():
+    env = Environment(calendar="heap")
+    env.call_in(0.0, lambda: None)
+    env.timeout(0.0)
+    env.event().succeed()
+    env.timeout(1.0)
+    assert len(env._lane) == 3 and len(env._calendar) == 1
+    assert env._seq == 4  # a lane entry still takes its seq
+    env.run()
+    assert not env._lane and not env._calendar
