@@ -49,6 +49,9 @@ class CpuCore:
         self.trace_agent = f"core{core_id}"
         #: Time per category, indexed by ``CycleCategory.slot``.
         self._time = [0.0] * len(_CATEGORIES)
+        #: ``<agent>.wait.<mode>_ns`` counters by wait mode, created on
+        #: this core's first wait in that mode (``repro.runtime``).
+        self.wait_counters: Dict = {}
 
     def account(self, category: CycleCategory, duration_ns: float) -> None:
         if duration_ns < 0:

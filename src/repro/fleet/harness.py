@@ -5,7 +5,8 @@ device: a deterministic closed loop that builds a
 ``sockets × devices_per_socket`` platform, places per-socket workers'
 descriptors through a :class:`~repro.fleet.scheduler.FleetScheduler`,
 and returns throughput plus failover accounting.  Every descriptor is
-driven through :func:`repro.runtime.recovery.recover`, so a device
+driven through the :func:`repro.runtime.recovery.recover` loop (as a
+bare-entry :func:`~repro.runtime.recovery.recovery_op`), so a device
 disabled mid-run (directly or via a ``repro.faults`` reset window)
 loses nothing: queued work re-routes to surviving devices or finishes
 on the software kernels, and the harness asserts the conservation
@@ -14,8 +15,9 @@ invariant ``offered == completed``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Deque, Dict, Generator, List, Optional
 
 from repro.cpu.core import CpuCore
 from repro.dsa.config import DeviceConfig, WqMode
@@ -25,7 +27,7 @@ from repro.fleet.scheduler import FleetScheduler
 from repro.mem.address import AddressSpace, Buffer
 from repro.platform import Platform, fleet_platform
 from repro.runtime.dml import Dml
-from repro.runtime.recovery import RecoveryResult, RetryPolicy, recover
+from repro.runtime.recovery import RecoveryResult, RetryPolicy, recovery_op
 from repro.sim.stats import Histogram
 
 __all__ = ["FleetConfig", "FleetResult", "run_fleet"]
@@ -123,7 +125,7 @@ def _fleet_worker(
         for _slot in range(cfg.queue_depth)
     ]
 
-    outstanding: List = []
+    outstanding: Deque = deque()
     issued = 0
     completed = 0
     while completed < cfg.iterations:
@@ -132,22 +134,14 @@ def _fleet_worker(
             descriptor = dml.make_descriptor(
                 Opcode.MEMMOVE, cfg.transfer_size, src=slot["src"], dst=slot["dst"]
             )
-            start_ns = env.now
-            process = env.process(
-                recover(
-                    dml,
-                    core,
-                    descriptor,
-                    policy=cfg.retry,
-                    scheduler=scheduler,
-                    socket=socket,
-                ),
-                name=f"fleet.s{socket}.recover",
+            op = recovery_op(
+                dml, core, descriptor, policy=cfg.retry, scheduler=scheduler, socket=socket
             )
-            outstanding.append((descriptor, process, start_ns))
+            env.call_in(0, op.start)
+            outstanding.append((op.done, env.now))
             issued += 1
-        descriptor, process, start_ns = outstanding.pop(0)
-        recovery: RecoveryResult = yield process
+        done, start_ns = outstanding.popleft()
+        recovery: RecoveryResult = yield done
         completed += 1
         result.latency.add(env.now - start_ns)
         if recovery.status.is_success:

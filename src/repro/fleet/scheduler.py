@@ -22,9 +22,10 @@ Metric families (see docs/OBSERVABILITY.md):
 
 from __future__ import annotations
 
-from typing import Collection, List, Optional
+from typing import Collection, Dict, List, Optional, Tuple
 
 from repro.fleet.policy import PlacementPolicy, RoundRobinPolicy
+from repro.obs.metrics import Counter
 from repro.runtime.driver import IdxdDriver, Portal
 
 __all__ = ["FleetScheduler"]
@@ -45,27 +46,34 @@ class FleetScheduler:
         self.env = driver.env
         self.portals = list(portals)
         self.policy = policy or RoundRobinPolicy()
+        #: Portals of enabled devices, rebuilt on each driver
+        #: notification instead of on each placement.
+        self._live = self._enabled_portals()
+        #: ``fleet.<dev>.selected`` counters, created on first placement.
+        self._m_selected: Dict[str, Counter] = {}
         driver.subscribe(self._on_device_event)
         self._m_live = self.env.metrics.gauge("fleet.devices_live")
         self._m_live.update(self.env.now, self._live_count())
 
     # -- driver notifications ------------------------------------------------
+    def _enabled_portals(self) -> Tuple[Portal, ...]:
+        return tuple(p for p in self.portals if p.device.enabled)
+
     def _live_count(self) -> int:
-        return len({p.device.name for p in self.portals if p.device.enabled})
+        return len({p.device.name for p in self._live})
 
     def _on_device_event(self, name: str, enabled: bool) -> None:
+        self._live = self._enabled_portals()
         self._m_live.update(self.env.now, self._live_count())
         if not enabled and any(p.device.name == name for p in self.portals):
             self.env.metrics.counter(f"fleet.{name}.failover.events").add()
 
     # -- selection -----------------------------------------------------------
-    def live_portals(self, exclude: Collection[str] = ()) -> List[Portal]:
+    def live_portals(self, exclude: Collection[str] = ()) -> Tuple[Portal, ...]:
         """Portals whose device is enabled and not in ``exclude``."""
-        return [
-            p
-            for p in self.portals
-            if p.device.enabled and p.device.name not in exclude
-        ]
+        if not exclude:
+            return self._live
+        return tuple(p for p in self._live if p.device.name not in exclude)
 
     def select(
         self,
@@ -83,7 +91,13 @@ class FleetScheduler:
         if not candidates:
             raise RuntimeError("fleet has no live device portal")
         portal = self.policy.choose(candidates, socket=socket)
-        self.env.metrics.counter(f"fleet.{portal.device.name}.selected").add()
+        name = portal.device.name
+        counter = self._m_selected.get(name)
+        if counter is None:
+            counter = self._m_selected[name] = self.env.metrics.counter(
+                f"fleet.{name}.selected"
+            )
+        counter.add()
         return portal
 
     # -- failover accounting ---------------------------------------------------

@@ -4,8 +4,11 @@ Intel DML wraps descriptor management behind job objects: callers ask
 for an operation, the library prepares/submits descriptors, balances
 load across the available WQs/devices, and falls back to software when
 hardware is absent or the job is too small to benefit.  This model
-keeps that contract with generator-based calls (``yield from`` them
-inside simulation processes).
+keeps that contract: each call returns a generator (``yield from`` it
+inside a simulation process) over one
+:class:`~repro.runtime.op.RuntimeOp`, whose stages run as bare calendar
+entries; :func:`repro.runtime.recovery.recovery_op` drives the same
+hardware path without a process.
 """
 
 from __future__ import annotations
@@ -13,18 +16,17 @@ from __future__ import annotations
 import enum
 from typing import Collection, Generator, List, Optional
 
-from repro.cpu.core import CpuCore, CycleCategory
+from repro.cpu.core import CpuCore
 from repro.cpu.instructions import InstructionCosts
 from repro.cpu.swlib import SoftwareKernels
-from repro.dsa import ops as functional
 from repro.dsa.descriptor import BatchDescriptor, WorkDescriptor
 from repro.dsa.dif import DifContext
 from repro.dsa.errors import StatusCode
 from repro.dsa.opcodes import DescriptorFlags, Opcode
 from repro.mem.address import AddressSpace, Buffer
 from repro.runtime.driver import Portal
-from repro.runtime.submit import prepare_descriptor, submit
-from repro.runtime.wait import WaitMode, wait_for
+from repro.runtime.op import RuntimeOp, WaitMode
+from repro.runtime.wait import wait_for
 from repro.sim.engine import Environment
 
 #: ``make_descriptor``'s flags by ``(block_on_fault, cache_control)``,
@@ -200,9 +202,8 @@ class Dml:
     ) -> Generator:
         """Prepare + submit; returns a :class:`DmlJob` immediately."""
         portal = portal or self._next_portal()
-        if prepare:
-            yield from prepare_descriptor(self.env, core, descriptor, self.costs)
-        yield from submit(self.env, core, portal, descriptor, self.costs)
+        op = RuntimeOp(self.env, core, self.costs)
+        yield from op.for_submit(portal, descriptor, prepare=prepare).run()
         self.jobs_hardware += 1
         return DmlJob(descriptor, portal, software=False)
 
@@ -228,26 +229,14 @@ class Dml:
         re-routes a failed descriptor to a specific surviving device);
         ``None`` keeps the load-balanced selection.
         """
-        if self._choose_path(path, descriptor.size):
-            job = yield from self.submit_async(core, descriptor, portal=portal)
-            status = yield from self.wait(core, job)
-            return status
-        return (yield from self.run_software(core, descriptor, in_llc=in_llc))
+        op = RuntimeOp(self.env, core, self.costs)
+        return op.for_execute(self, descriptor, path, in_llc, portal).run()
 
     def run_software(
         self, core: CpuCore, descriptor: WorkDescriptor, in_llc: bool = False
     ) -> Generator:
         """Software fallback: calibrated kernel time + functional op."""
-        duration = self.kernels.time(descriptor.opcode, descriptor.size, in_llc=in_llc)
-        yield core.spend(CycleCategory.BUSY, duration)
-        self.jobs_software += 1
-        if self.space is not None and self._buffers_backed(descriptor):
-            functional.execute(descriptor, self.space)
-        else:
-            descriptor.completion.status = StatusCode.SUCCESS
-            descriptor.completion.bytes_completed = descriptor.size
-        descriptor.times.completed = self.env.now
-        return descriptor.completion.status
+        return RuntimeOp(self.env, core, self.costs).for_software(self, descriptor, in_llc).run()
 
     def _buffers_backed(self, descriptor: WorkDescriptor) -> bool:
         addresses = (descriptor.src, descriptor.src2, descriptor.dst, descriptor.dst2)

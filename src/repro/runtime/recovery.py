@@ -11,8 +11,12 @@ layer.
 :class:`RetryPolicy` bounds the loop: bounded exponential backoff
 between attempts, an optional wall-clock deadline, and graceful
 degradation to the calibrated software kernels when retries exhaust.
-:func:`recover` is a generator — ``yield from`` it inside a simulation
-process, like the rest of ``repro.runtime``.
+The loop runs as bare calendar entries on one
+:class:`~repro.runtime.op.RuntimeOp` per operation:
+:func:`recovery_op` builds it for callers that drive it without a
+process (the fleet harness pushes ``op.start`` and waits on
+``op.done``), and :func:`recover` returns the same object's generator
+for ``yield from`` callers.
 """
 
 from __future__ import annotations
@@ -20,14 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from repro.cpu.core import CpuCore, CycleCategory
+from repro.cpu.core import CpuCore
 from repro.dsa.descriptor import DescriptorPool, WorkDescriptor
 from repro.dsa.errors import StatusCode
-from repro.dsa.opcodes import RESUMABLE_OPCODES
 from repro.runtime.dml import Dml, DmlPath
+from repro.runtime.op import RETRYABLE_STATUSES, RuntimeOp
 
-#: Completion statuses the recovery loop treats as retryable.
-RETRYABLE_STATUSES = (StatusCode.PAGE_FAULT, StatusCode.DEVICE_DISABLED)
+__all__ = [
+    "RETRYABLE_STATUSES",
+    "RecoveryResult",
+    "RetryPolicy",
+    "recover",
+    "recovery_op",
+]
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,36 @@ class RecoveryResult:
     reroutes: int = 0
 
 
+def recovery_op(
+    dml: Dml,
+    core: CpuCore,
+    descriptor: WorkDescriptor,
+    policy: RetryPolicy = RetryPolicy(),
+    in_llc: bool = False,
+    pool: Optional[DescriptorPool] = None,
+    scheduler=None,
+    socket: Optional[int] = None,
+) -> RuntimeOp:
+    """The :func:`recover` loop as a :class:`~repro.runtime.op.RuntimeOp`.
+
+    Nothing runs until ``op.start()`` (push it with
+    ``env.call_in(0, op.start)``); ``op.done`` then succeeds with the
+    :class:`RecoveryResult` at the instant a ``recover`` process would
+    have returned it.
+    """
+    return RuntimeOp(dml.env, core, dml.costs).for_recover(
+        dml,
+        descriptor,
+        RecoveryResult(status=StatusCode.NONE),
+        policy,
+        DmlPath.HARDWARE,
+        in_llc=in_llc,
+        pool=pool,
+        scheduler=scheduler,
+        socket=socket,
+    )
+
+
 def recover(
     dml: Dml,
     core: CpuCore,
@@ -114,9 +153,9 @@ def recover(
     :class:`RecoveryResult`.
 
     With ``pool``, the resume clones this loop creates are recycled
-    through it: each retry's spent clone (which only this generator
-    ever references — the caller polls ``descriptor``) is released
-    before the next one is built, so a long fault storm allocates O(1)
+    through it: each retry's spent clone (which only this loop ever
+    references — the caller polls ``descriptor``) is released before
+    the next one is built, so a long fault storm allocates O(1)
     descriptors instead of O(retries).
 
     With ``scheduler`` (a :class:`repro.fleet.FleetScheduler`), a
@@ -128,200 +167,4 @@ def recover(
     or without a scheduler — the tail degrades straight to the software
     kernels rather than stalling.
     """
-    env = dml.env
-    metrics = env.metrics
-    total = descriptor.size
-    offset = 0
-    start = env.now
-    result = RecoveryResult(status=StatusCode.NONE)
-    pending = descriptor
-    retries = 0
-    tracer = env.tracer
-    last_failed: Optional[str] = None
-
-    while True:
-        portal = None
-        no_live = False
-        if scheduler is not None:
-            try:
-                portal = scheduler.select(socket=socket, exclude=(
-                    (last_failed,) if last_failed is not None else ()
-                ))
-            except RuntimeError:
-                no_live = True
-        if not no_live:
-            if scheduler is not None and last_failed is not None:
-                scheduler.record_failover(last_failed, portal.device.name)
-                result.reroutes += 1
-                metrics.counter("recovery.reroutes").add()
-                last_failed = None
-            try:
-                yield from dml.execute(
-                    core, pending, path=DmlPath.HARDWARE, in_llc=in_llc, portal=portal
-                )
-            except RuntimeError:
-                # No live hardware portal (all devices disabled).
-                no_live = True
-        if no_live:
-            metrics.counter("recovery.no_live_portal").add()
-            result.degraded = True
-            metrics.counter("recovery.degraded").add()
-            if scheduler is not None and last_failed is not None:
-                scheduler.record_failover(last_failed, None)
-                last_failed = None
-            if not policy.degrade_to_software:
-                result.status = pending.completion.status
-                _propagate(descriptor, pending, None)
-                if pool is not None and pending is not descriptor:
-                    pool.release(pending)
-                return result
-            if pool is not None and pending is not descriptor:
-                pool.release(pending)
-            tail = (
-                descriptor.clone_range(offset, total - offset, pool=pool)
-                if offset
-                else _fresh_clone(descriptor, pool)
-            )
-            yield from dml.run_software(core, tail, in_llc=in_llc)
-            result.bytes_software += tail.size
-            result.status = tail.completion.status
-            _propagate(descriptor, tail, total)
-            if pool is not None and tail is not descriptor:
-                pool.release(tail)
-            return result
-        completion = pending.completion
-        if completion.status.is_success:
-            result.bytes_hardware += pending.size
-            result.status = completion.status
-            _propagate(descriptor, pending, total)
-            if pool is not None and pending is not descriptor:
-                pool.release(pending)
-            return result
-        if completion.status not in RETRYABLE_STATUSES:
-            result.status = completion.status
-            _propagate(descriptor, pending, None)
-            if pool is not None and pending is not descriptor:
-                pool.release(pending)
-            return result
-
-        result.faults += 1
-        metrics.counter("recovery.faults").add()
-        if (
-            scheduler is not None
-            and portal is not None
-            and completion.status is StatusCode.DEVICE_DISABLED
-        ):
-            # Don't resubmit into the dead device: the next attempt
-            # re-routes to a surviving portal (or software).
-            last_failed = portal.device.name
-        resumable = (
-            completion.status is StatusCode.PAGE_FAULT
-            and descriptor.opcode in RESUMABLE_OPCODES
-        )
-        salvaged = completion.bytes_completed if resumable else 0
-        offset += salvaged
-        result.bytes_hardware += salvaged
-
-        retries += 1
-        exhausted = retries > policy.max_retries
-        backoff = 0.0 if exhausted else policy.backoff_ns(retries)
-        if not exhausted and policy.deadline_ns is not None:
-            if (env.now - start) + backoff > policy.deadline_ns:
-                exhausted = True
-                metrics.counter("recovery.deadline_exceeded").add()
-        if exhausted:
-            result.degraded = True
-            metrics.counter("recovery.degraded").add()
-            if scheduler is not None and last_failed is not None:
-                scheduler.record_failover(last_failed, None)
-                last_failed = None
-            if not policy.degrade_to_software:
-                result.status = completion.status
-                _propagate(descriptor, pending, None)
-                return result
-            if pool is not None and pending is not descriptor:
-                pool.release(pending)
-            tail = (
-                descriptor.clone_range(offset, total - offset, pool=pool)
-                if offset
-                else _fresh_clone(descriptor, pool)
-            )
-            if tracer.enabled and descriptor.trace_track >= 0:
-                tracer.begin(
-                    env.now, "degrade", "recovery", core.trace_agent,
-                    descriptor.trace_track, {"tail_bytes": tail.size},
-                )
-            yield from dml.run_software(core, tail, in_llc=in_llc)
-            if tracer.enabled and descriptor.trace_track >= 0:
-                tracer.end(
-                    env.now, "degrade", "recovery", core.trace_agent,
-                    descriptor.trace_track,
-                )
-            result.bytes_software += tail.size
-            result.status = tail.completion.status
-            _propagate(descriptor, tail, total)
-            if pool is not None and tail is not descriptor:
-                pool.release(tail)
-            return result
-
-        # Resolve the fault like the paper's guideline: touch the page
-        # so the OS maps it, back off, then resubmit the remainder.
-        if tracer.enabled and descriptor.trace_track >= 0:
-            tracer.begin(
-                env.now, "resume", "recovery", core.trace_agent,
-                descriptor.trace_track,
-                {"attempt": retries, "offset": offset},
-            )
-        fault_va = completion.fault_address
-        if fault_va is not None and dml.space is not None:
-            if policy.touch_page_ns:
-                yield core.spend(CycleCategory.BUSY, policy.touch_page_ns)
-            page = dml.space.page_size
-            dml.space.page_table.map_range((fault_va // page) * page, 1)
-        if backoff > 0:
-            core.account(CycleCategory.IDLE, backoff)
-            metrics.counter("recovery.backoff_ns").add(backoff)
-            result.backoff_ns_total += backoff
-            yield env.timeout(backoff)
-        if tracer.enabled and descriptor.trace_track >= 0:
-            tracer.end(
-                env.now, "resume", "recovery", core.trace_agent,
-                descriptor.trace_track,
-            )
-        if pool is not None and pending is not descriptor:
-            # The spent clone's completion was consumed above; nobody
-            # else ever saw the object, so it can be recycled into the
-            # next attempt's clone.
-            pool.release(pending)
-        pending = (
-            descriptor.clone_range(offset, total - offset, pool=pool)
-            if offset
-            else _fresh_clone(descriptor, pool)
-        )
-        result.attempts += 1
-        metrics.counter("recovery.resumes").add()
-
-
-def _fresh_clone(
-    descriptor: WorkDescriptor, pool: Optional[DescriptorPool] = None
-) -> WorkDescriptor:
-    """Full-range clone: a resubmission needs an unconsumed completion
-    record and event even when no bytes were salvaged."""
-    return descriptor.clone_range(0, descriptor.size, pool=pool)
-
-
-def _propagate(
-    original: WorkDescriptor, final: WorkDescriptor, total: Optional[int]
-) -> None:
-    """Copy the final attempt's outcome onto the caller's descriptor."""
-    if final is original:
-        if total is not None:
-            original.completion.bytes_completed = total
-        return
-    original.completion.status = final.completion.status
-    original.completion.result = final.completion.result
-    original.completion.fault_address = final.completion.fault_address
-    original.completion.bytes_completed = (
-        total if total is not None else final.completion.bytes_completed
-    )
-    original.times.completed = final.times.completed
+    return recovery_op(dml, core, descriptor, policy, in_llc, pool, scheduler, socket).run()

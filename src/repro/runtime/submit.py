@@ -1,8 +1,10 @@
 """Descriptor submission paths (data path, paper §3.3).
 
-Generator helpers meant for ``yield from`` inside client processes.
-The mode is decided by the target WQ: dedicated queues take a posted
-MOVDIR64B; shared queues take non-posted ENQCMD with a retry loop.
+Each call returns the generator of one
+:class:`~repro.runtime.op.RuntimeOp` (``yield from`` it inside a client
+process); its stages run as bare calendar entries.  The mode is decided by the
+target WQ: dedicated queues take a posted MOVDIR64B; shared queues take
+non-posted ENQCMD with a retry loop.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from repro.cpu.instructions import InstructionCosts
 from repro.dsa.config import WqMode
 from repro.dsa.descriptor import BatchDescriptor, WorkDescriptor
 from repro.runtime.driver import Portal
+from repro.runtime.op import RuntimeOp
 from repro.sim.engine import Environment
 
 Descriptor = Union[WorkDescriptor, BatchDescriptor]
@@ -34,20 +37,7 @@ def prepare_descriptor(
     real applications pre-allocate descriptor rings (§4.2); pass
     ``allocate=True`` only for the Fig 5 breakdown.
     """
-    tracer = env.tracer
-    if tracer.enabled and descriptor.trace_track < 0:
-        descriptor.trace_track = tracer.next_track()
-    agent = core.trace_agent
-    track = descriptor.trace_track
-    if allocate:
-        descriptor.times.allocated = env.now
-        tracer.begin(env.now, "alloc", "alloc", agent, track)
-        yield core.spend(CycleCategory.ALLOC, costs.descriptor_alloc_ns)
-        tracer.end(env.now, "alloc", "alloc", agent, track)
-    tracer.begin(env.now, "prepare", "prepare", agent, track)
-    yield core.spend(CycleCategory.PREPARE, costs.descriptor_prepare_ns)
-    descriptor.times.prepared = env.now
-    tracer.end(env.now, "prepare", "prepare", agent, track)
+    return RuntimeOp(env, core, costs).for_prepare(descriptor, allocate).run()
 
 
 def submit(
@@ -72,39 +62,7 @@ def submit(
     :meth:`repro.dsa.wq.WorkQueue.record_retries` (the canonical metric
     naming) rather than assembled here.
     """
-    tracer = env.tracer
-    if tracer.enabled and descriptor.trace_track < 0:
-        descriptor.trace_track = tracer.next_track()
-    agent = core.trace_agent
-    track = descriptor.trace_track
-    if portal.mode is WqMode.DEDICATED:
-        tracer.begin(env.now, "movdir64b", "submit", agent, track)
-        yield core.spend(CycleCategory.SUBMIT, costs.movdir64b_ns)
-        portal.device.submit(descriptor, portal.wq_id, source=source)
-        tracer.end(env.now, "movdir64b", "submit", agent, track)
-        return 0
-    retries = 0
-    wq = portal.device.wq(portal.wq_id)
-    tracer.begin(env.now, "enqcmd", "submit", agent, track)
-    while True:
-        yield core.spend(CycleCategory.SUBMIT, costs.enqcmd_ns)
-        if portal.device.submit(descriptor, portal.wq_id, source=source):
-            if tracer.enabled:
-                tracer.end(
-                    env.now, "enqcmd", "submit", agent, track, {"retries": retries}
-                )
-            wq.record_retries(retries, source=source)
-            return retries
-        retries += 1
-        if max_retries is not None and retries >= max_retries:
-            tracer.end(env.now, "enqcmd", "submit", agent, track, {"retries": retries})
-            # Failed submissions must still account their retries, or
-            # congestion vanishes from the metrics exactly when it bites.
-            wq.record_retries(retries, source=source)
-            raise RuntimeError(
-                f"ENQCMD to {portal.device.name} WQ {portal.wq_id} exceeded "
-                f"{max_retries} retries"
-            )
+    return RuntimeOp(env, core, costs).for_submit(portal, descriptor, max_retries, source).run()
 
 
 class DwqCreditTracker:
@@ -118,8 +76,6 @@ class DwqCreditTracker:
     """
 
     def __init__(self, portal: Portal):
-        from repro.dsa.config import WqMode
-
         if portal.mode is not WqMode.DEDICATED:
             raise ValueError("credit tracking is for dedicated WQs (SWQs retry)")
         self.portal = portal

@@ -7,23 +7,17 @@ measures.
 
 from __future__ import annotations
 
-import enum
 from typing import Generator, Optional, Union
 
-from repro.cpu.core import CpuCore, CycleCategory
+from repro.cpu.core import CpuCore
 from repro.cpu.instructions import InstructionCosts
 from repro.dsa.descriptor import BatchDescriptor, WorkDescriptor
+from repro.runtime.op import RuntimeOp, WaitMode
 from repro.sim.engine import Environment
 
 Descriptor = Union[WorkDescriptor, BatchDescriptor]
 
 DEFAULT_COSTS = InstructionCosts()
-
-
-class WaitMode(enum.Enum):
-    SPIN = "spin"  # busy-poll the completion record
-    UMWAIT = "umwait"  # UMONITOR + UMWAIT optimized wait state
-    INTERRUPT = "interrupt"  # sleep until the completion interrupt
 
 
 def wait_for(
@@ -44,54 +38,4 @@ def wait_for(
     (:meth:`repro.sim.engine.Event.cancel`) instead of left to fire into
     a stale no-op.  ``None`` (the default) waits in one shot.
     """
-    if max_wait_ns is not None and max_wait_ns <= 0:
-        raise ValueError(f"max_wait_ns must be positive, got {max_wait_ns}")
-    event = descriptor.completion_event
-    if event is None:
-        raise RuntimeError("descriptor was never submitted (no completion event)")
-    tracer = env.tracer
-    agent = core.trace_agent
-    traced = tracer.enabled and descriptor.trace_track >= 0
-    if mode is WaitMode.UMWAIT:
-        yield core.spend(CycleCategory.BUSY, costs.umonitor_ns)
-    start = env.now
-    if traced:
-        tracer.begin(
-            start, "wait", "wait", agent, descriptor.trace_track, {"mode": mode.value}
-        )
-    if not event.triggered:
-        if mode is WaitMode.UMWAIT and max_wait_ns is not None:
-            deadline_wakes = 0
-            while not event.triggered:
-                deadline = env.timeout(max_wait_ns)
-                yield env.any_of([event, deadline])
-                if event.triggered:
-                    # Completion won the race: the armed deadline is
-                    # stale the instant we stop monitoring.
-                    deadline.cancel()
-                else:
-                    deadline_wakes += 1
-            if deadline_wakes:
-                env.metrics.counter(f"{agent}.wait.umwait_deadline_wakes").add(
-                    deadline_wakes
-                )
-        else:
-            yield event
-    waited = env.now - start
-    if mode is WaitMode.SPIN:
-        core.account(CycleCategory.WAIT_SPIN, waited)
-        env.metrics.counter(f"{agent}.wait.spin_ns").add(waited)
-        yield core.spend(CycleCategory.BUSY, costs.poll_check_ns)
-    elif mode is WaitMode.UMWAIT:
-        core.account(CycleCategory.UMWAIT, waited)
-        env.metrics.counter(f"{agent}.wait.umwait_ns").add(waited)
-        yield core.spend(CycleCategory.BUSY, costs.umwait_wake_ns)
-    else:
-        core.account(CycleCategory.IDLE, waited)
-        env.metrics.counter(f"{agent}.wait.interrupt_ns").add(waited)
-        yield core.spend(CycleCategory.BUSY, costs.interrupt_ns)
-    if traced:
-        tracer.end(
-            env.now, "wait", "wait", agent, descriptor.trace_track, {"waited_ns": waited}
-        )
-    return waited
+    return RuntimeOp(env, core, costs).for_wait(descriptor, mode, max_wait_ns).run()

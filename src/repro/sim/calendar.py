@@ -128,6 +128,7 @@ class TimingWheel:
         "_far_base",
         "_cur_bucket",
         "_cur_pos",
+        "_synced_pos",
         "_cur_slot",
     )
 
@@ -167,10 +168,15 @@ class TimingWheel:
         #: (popped positions are cleared to drop the tuple reference).
         self._cur_bucket: Optional[List] = None
         self._cur_pos = 0
+        #: The drain cursor ``_count`` already accounts for.  The engine's
+        #: run loop advances ``_cur_pos`` per entry but settles ``_count``
+        #: once per bucket, so the entries in between are still counted.
+        self._synced_pos = 0
         self._cur_slot = -1
 
     def __len__(self) -> int:
-        return self._count
+        """Pending entries, exact even while a run loop drains a bucket."""
+        return self._count - (self._cur_pos - self._synced_pos)
 
     @property
     def tick(self) -> Optional[float]:
@@ -271,6 +277,9 @@ class TimingWheel:
         Returns False when the wheel is empty.  Cascades coarse and far
         levels down as their boundaries are reached.
         """
+        # Settle what the drained bucket consumed before the cursor moves.
+        self._count -= self._cur_pos - self._synced_pos
+        self._synced_pos = self._cur_pos
         while True:
             slots = self._fine_slots
             fine = self._fine
@@ -281,6 +290,7 @@ class TimingWheel:
                 self._cur_slot = slot
                 self._cur_bucket = bucket
                 self._cur_pos = 0
+                self._synced_pos = 0
                 return True
             if self._coarse_slots:
                 # Cascade one coarse bucket into fine slots.  The fine
@@ -346,6 +356,7 @@ class TimingWheel:
         # timeout free-list relies on refcounts to prove reusability.
         bucket[pos] = None
         self._cur_pos = pos + 1
+        self._synced_pos += 1
         self._count -= 1
         return entry
 

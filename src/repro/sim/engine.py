@@ -937,7 +937,6 @@ class Environment:
                 if not wheel._materialize_next():
                     break
                 continue
-            consumed = 0
             try:
                 while True:
                     try:
@@ -957,7 +956,6 @@ class Environment:
                     bucket[pos] = None
                     pos += 1
                     wheel._cur_pos = pos
-                    consumed += 1
                     when, _prio, _seq, event = entry
                     entry = None
                     if type(event) not in event_types:  # bare entry
@@ -997,10 +995,11 @@ class Environment:
                         event.callbacks = callbacks
                         pool.append(event)
             finally:
-                # The count is synced per bucket, not per event; a
-                # cancel-triggered compaction mid-bucket sees a count
-                # stale by at most one bucket's occupancy, which the
-                # compaction threshold heuristic absorbs.
-                wheel._count -= consumed
+                # The count is settled per bucket, not per event;
+                # ``len(wheel)`` subtracts the cursor's advance since the
+                # last settle, so a cancel-triggered compaction check
+                # mid-bucket sees the exact pending count.
+                wheel._count -= wheel._cur_pos - wheel._synced_pos
+                wheel._synced_pos = wheel._cur_pos
         if until is not None:
             self._now = until

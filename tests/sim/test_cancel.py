@@ -189,6 +189,23 @@ class TestCompactionThreshold:
         assert env._dead_entries == 0
         assert env.stale_timers == CALENDAR_COMPACT_THRESHOLD + 2
 
+    @pytest.mark.parametrize("backend", ["heap", "wheel"])
+    def test_in_run_cancel_sees_exact_pending_count(self, backend):
+        """A cancel from a callback mid-bucket: 100 timers at t=1, the
+        last of which cancels 70 timers at t=1000.  With the 99 popped
+        entries still counted as pending, the wheel skipped the sweep
+        the heap makes at the 65th cancel."""
+        env = Environment(calendar=backend)
+        far = [env.timeout(1000.0) for _ in range(70)]
+        near = [env.timeout(1.0) for _ in range(100)]
+        near[-1].callbacks.append(lambda _ev: [timer.cancel() for timer in far])
+        env.run(until=500.0)
+        assert env.stale_timers == CALENDAR_COMPACT_THRESHOLD + 1  # 65 swept
+        assert env.metrics.counter("sim.stale_timers").value == 65
+        env.run()
+        assert env.stale_timers == 70
+        assert env._dead_entries == 0
+
     def test_compacted_calendar_still_runs_survivors(self):
         env = Environment()
         fired = []
