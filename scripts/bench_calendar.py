@@ -36,13 +36,9 @@ keep at least ``--target-small`` (default 0.9x) of heap throughput.
 
 The pooling section measures the allocation-churn work:
 
-* ``timeout_pooling``    — a 200k-yield chain with the Timeout free
-  list enabled vs ``timeout_pool=0``.  Fresh Timeout constructions are
-  counted by wrapping the engine's allocator; **gated**: the pool must
-  eliminate >90% of them.
 * ``descriptor_pooling`` — 200k ``clone_range`` churns through a
-  ``DescriptorPool`` vs fresh clones; **gated** the same way via the
-  pool's reuse counter.
+  ``DescriptorPool`` vs fresh clones; **gated**: the pool's reuse
+  counter must show >90% of the clones eliminated.
 * ``slots_footprint``    — tracemalloc peak for 100k live descriptors
   (four objects each) against a pre-slots, ``__dict__``-backed replica;
   **gated**: the slotted classes must trace below 0.9x the replica.
@@ -63,7 +59,6 @@ import tracemalloc
 import numpy as np
 
 from _bench_common import base_parser, best_of, gate_exit, write_json
-import repro.sim.engine as engine
 from repro.dsa.descriptor import DescriptorPool, WorkDescriptor
 from repro.dsa.opcodes import Opcode
 from repro.sim.engine import Environment
@@ -192,42 +187,6 @@ def measure_closed(backend, run, repeats):
 # ---------------------------------------------------------------------------
 
 CHURN_N = 200_000
-
-
-def timeout_pooling(repeats):
-    """Fresh-Timeout constructions for a 200k-yield chain, pool on/off."""
-    chain = small_closed_loop(n_procs=8, n_yields=CHURN_N // 8)
-    out = {}
-    for label, pool_size in (("unpooled", 0), ("pooled", None)):
-        counter = [0]
-        orig = engine._new_event
-
-        def counting(cls, _orig=orig, _c=counter):
-            _c[0] += 1
-            return _orig(cls)
-
-        kwargs = {} if pool_size is None else {"timeout_pool": pool_size}
-        engine._new_event = counting
-        tracemalloc.start()
-        try:
-            chain(Environment(**kwargs))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            engine._new_event = orig
-        allocs = counter[0]
-        rate, _ = measure_pool_rate(lambda: Environment(**kwargs), chain, repeats)
-        out[label] = {
-            "timeout_allocs": allocs,
-            "tracemalloc_peak_kib": round(peak / 1024, 1),
-            "events_per_sec": round(rate),
-        }
-    return out
-
-
-def measure_pool_rate(env_factory, run, repeats):
-    best = best_of(repeats, run, setup=env_factory)
-    return best.rate(), best.seconds
 
 
 def descriptor_pooling(repeats):
@@ -387,17 +346,13 @@ def main(argv=None):
     )
 
     pooling = {
-        "timeout": timeout_pooling(args.repeats),
         "descriptor": descriptor_pooling(args.repeats),
         "slots_footprint": slots_footprint(),
     }
-    t_un = pooling["timeout"]["unpooled"]["timeout_allocs"]
-    t_po = pooling["timeout"]["pooled"]["timeout_allocs"]
     d_un = pooling["descriptor"]["unpooled"]["descriptor_allocs"]
     d_po = pooling["descriptor"]["pooled"]["descriptor_allocs"]
     print(
-        f"pooling: timeout allocs {t_un} -> {t_po}, descriptor allocs "
-        f"{d_un} -> {d_po}, slots footprint x"
+        f"pooling: descriptor allocs {d_un} -> {d_po}, slots footprint x"
         f"{pooling['slots_footprint']['ratio']:.2f} of dict"
     )
 
@@ -411,11 +366,6 @@ def main(argv=None):
             "value": round(small_ratio, 3),
             "target": args.target_small,
             "pass": small_ratio >= args.target_small,
-        },
-        "timeout_alloc_reduction": {
-            "value": t_po,
-            "target": t_un // 10,
-            "pass": t_po < t_un / 10,
         },
         "descriptor_alloc_reduction": {
             "value": d_po,

@@ -23,7 +23,7 @@ import os
 import sys
 
 from repro.analysis.tables import Table
-from repro.exec import ParallelRunner, ResultCache
+from repro.exec import ParallelRunner, ResultCache, RunConfig
 from repro.experiments import all_experiments, resolve_ids
 from repro.guidelines import OffloadAdvisor
 from repro.obs import (
@@ -35,15 +35,13 @@ from repro.obs import (
     install_metrics,
     install_tracer,
     publish_overhead,
-    set_default_hist_backend,
     snapshot_table,
     uninstall_metrics,
     uninstall_tracer,
     write_chrome_trace,
 )
-from repro.fleet import policy_names, set_default_fleet, set_default_placement
-from repro.sim.calendar import set_default_calendar
-from repro.traffic.tiers import set_default_tier, set_default_traffic
+from repro.fleet import policy_names
+from repro.sim.rng import DEFAULT_SEED
 
 
 def _cmd_list(_args) -> int:
@@ -62,7 +60,18 @@ def _default_jobs() -> int:
 def _cmd_run(args) -> int:
     try:
         targets = resolve_ids(args.experiment)
-    except KeyError as err:
+        config = RunConfig(
+            seed=args.seed,
+            hist_backend=args.hist_backend,
+            calendar=args.calendar,
+            tier=args.tier,
+            traffic=args.traffic,
+            fleet=args.fleet,
+            placement=args.placement,
+            fault_rate=args.fault_rate,
+            fault_seed=args.fault_seed,
+        )
+    except (KeyError, ValueError) as err:
         print(err.args[0], file=sys.stderr)
         return 2
     tracer = None
@@ -74,16 +83,6 @@ def _cmd_run(args) -> int:
         else:
             tracer = Tracer()
         install_tracer(tracer)
-    set_default_hist_backend(args.hist_backend)
-    set_default_calendar(args.calendar)
-    set_default_tier(args.tier)
-    set_default_traffic(args.traffic)
-    set_default_placement(args.placement)
-    try:
-        set_default_fleet(args.fleet)
-    except ValueError as err:
-        print(err.args[0], file=sys.stderr)
-        return 2
     sink = ResultSink(args.results) if args.results else None
     profiler = None
     if args.profile:
@@ -95,35 +94,15 @@ def _cmd_run(args) -> int:
         if args.jobs != 1:
             print("--profile forces --jobs 1", file=sys.stderr)
         profiler = cProfile.Profile()
-    injected = False
-    if args.fault_rate is not None:
-        from repro.faults import FaultPlan, install_injector
-
-        # Injection is session-wide mutable state, like --profile: run
-        # in-process and skip the cache (results no longer match the
-        # injection-free fingerprint).
-        if args.jobs != 1:
-            print("--fault-rate forces --jobs 1", file=sys.stderr)
-        install_injector(
-            FaultPlan(page_fault_rate=args.fault_rate, seed=args.fault_seed)
-        )
-        injected = True
-    in_process = profiler is not None or injected
     registry = MetricsRegistry()
     install_metrics(registry)
     runner = ParallelRunner(
-        jobs=1 if in_process else args.jobs,
+        jobs=1 if profiler is not None else args.jobs,
         quick=args.quick,
-        seed=args.seed,
-        cache=None if (args.no_cache or in_process) else ResultCache(),
+        cache=None if (args.no_cache or profiler is not None) else ResultCache(),
         trace=tracer is not None,
         sink=sink,
-        hist_backend=args.hist_backend,
-        calendar=args.calendar,
-        tier=args.tier,
-        traffic=args.traffic,
-        fleet=args.fleet,
-        placement=args.placement,
+        config=config,
     )
     summary_rows = []
     failures = 0
@@ -164,10 +143,6 @@ def _cmd_run(args) -> int:
     finally:
         if profiler is not None:
             profiler.disable()
-        if injected:
-            from repro.faults import uninstall_injector
-
-            uninstall_injector()
         uninstall_metrics()
         if tracer is not None:
             uninstall_tracer()
@@ -292,7 +267,7 @@ def main(argv=None) -> int:
     run_parser.add_argument(
         "--seed",
         type=int,
-        default=None,
+        default=DEFAULT_SEED,
         metavar="SEED",
         help="run seed for every experiment's default RNG streams",
     )
@@ -358,7 +333,7 @@ def main(argv=None) -> int:
     run_parser.add_argument(
         "--fleet",
         metavar="SxD",
-        default=None,
+        default="1x1",
         help="fleet topology for the traffic experiments: SOCKETSxDEVICES "
         "(e.g. 2x4 = 2 sockets with 4 DSA instances each); requests are "
         "placed across the fleet by --placement and disabled devices fail "
@@ -392,15 +367,17 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         metavar="P",
-        help="inject page faults on a fraction P of device page translations "
-        "(forces --jobs 1 and --no-cache); see docs/ARCHITECTURE.md",
+        help="inject page faults on a fraction P of device page translations; "
+        "each experiment gets a fresh injector seeded by --fault-seed, "
+        "serial or under --jobs, and the rate and seed salt the cache key; "
+        "see docs/ARCHITECTURE.md",
     )
     run_parser.add_argument(
         "--fault-seed",
         type=int,
         default=None,
         metavar="SEED",
-        help="seed for the injection streams (default: the run seed)",
+        help="seed for the injection streams (default: the run seed, --seed)",
     )
     run_parser.set_defaults(func=_cmd_run)
 

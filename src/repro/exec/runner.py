@@ -2,9 +2,10 @@
 
 Experiments are independent simulations, so ``python -m repro run all``
 parallelises embarrassingly: each worker process runs one experiment at
-a time with its **own** installed tracer, metrics registry, and seed,
-and ships the finished :class:`~repro.experiments.base.ExperimentResult`
-(plus its trace-event list) back to the parent.  The parent then folds
+a time with its **own** installed tracer and metrics registry, under
+the run's pickled :class:`~repro.exec.config.RunConfig`, and ships the
+finished :class:`~repro.experiments.base.ExperimentResult` (plus its
+trace-event list) back to the parent.  The parent then folds
 each worker's records into its own observability state —
 :meth:`Tracer.absorb` remaps per-worker track ids,
 :meth:`MetricsRegistry.absorb_flat` reloads the metrics snapshot — so
@@ -17,7 +18,8 @@ output.
 
 With ``jobs=1`` everything runs in-process against the parent's
 installed tracer/registry (no pickling, no fork), which is also the
-path the cache-only fast case takes.
+path the cache-only fast case takes.  Either way each experiment runs
+inside ``config.installed()``, by the one function :func:`_execute`.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, List, Optional
 
-from repro.exec.cache import ResultCache, variant_string
+from repro.exec.cache import ResultCache
+from repro.exec.config import RunConfig
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import run_experiment
 from repro.obs import (
@@ -44,7 +47,6 @@ from repro.obs import (
     uninstall_metrics,
     uninstall_sink,
 )
-from repro.sim.rng import DEFAULT_SEED, install_seed, uninstall_seed
 
 
 @dataclass
@@ -68,60 +70,37 @@ class RunOutcome:
         return self.error is None
 
 
+def _execute(exp_id: str, quick: bool, config: RunConfig) -> RunOutcome:
+    """Run one experiment with ``config`` installed; serial and worker path."""
+    start = time.perf_counter()
+    try:
+        with config.installed():
+            result = run_experiment(exp_id, quick=quick)
+    except Exception:
+        return RunOutcome(
+            exp_id=exp_id, error=traceback.format_exc(), wall=time.perf_counter() - start
+        )
+    return RunOutcome(exp_id=exp_id, result=result, wall=time.perf_counter() - start)
+
+
 def _worker(
     exp_id: str,
     quick: bool,
-    seed: int,
+    config: RunConfig,
     with_trace: bool,
     sink_shard: Optional[str] = None,
-    hist_backend: Optional[str] = None,
-    calendar: Optional[str] = None,
-    tier: Optional[str] = None,
-    traffic: Optional[str] = None,
-    fleet: Optional[str] = None,
-    placement: Optional[str] = None,
 ) -> RunOutcome:
     """Run one experiment in a worker process.
 
     Must stay a module-level function (pickled by name).  Pool workers
     are reused across experiments, so each call installs a fresh
-    registry/tracer rather than assuming a clean process.  When
-    ``sink_shard`` is given, the worker streams its sweep points to
-    that JSONL shard; the parent splices shards into the main sink in
-    request order (see :meth:`ParallelRunner.run_iter`).
+    registry/tracer rather than assuming a clean process; the config
+    arrives pickled whole and is installed for the one experiment.
+    When ``sink_shard`` is given, the worker streams its sweep points
+    to that JSONL shard; the parent splices shards into the main sink
+    in request order (see :meth:`ParallelRunner.run_iter`).
     """
-    install_seed(seed)
-    if hist_backend is not None:
-        # Module globals don't cross the process boundary; re-apply the
-        # parent's --hist-backend choice in every worker call.
-        from repro.obs import set_default_hist_backend
-
-        set_default_hist_backend(hist_backend)
-    if calendar is not None:
-        # Same pattern as --hist-backend: the parent installed the
-        # process-wide default, the worker re-applies it per call.
-        from repro.sim.calendar import set_default_calendar
-
-        set_default_calendar(calendar)
-    if tier is not None or traffic is not None:
-        # --tier / --traffic scale the traffic experiments; same reused-
-        # worker story as the flags above.
-        from repro.traffic.tiers import set_default_tier, set_default_traffic
-
-        if tier is not None:
-            set_default_tier(tier)
-        if traffic is not None:
-            set_default_traffic(traffic)
-    if fleet is not None or placement is not None:
-        # --fleet / --placement install the fleet topology the traffic
-        # harness reads via active_fleet(); same re-install pattern.
-        from repro.fleet.topology import set_default_fleet, set_default_placement
-
-        if placement is not None:
-            set_default_placement(placement)
-        set_default_fleet(fleet)
-    registry = MetricsRegistry()
-    install_metrics(registry)
+    install_metrics(MetricsRegistry())
     tracer: Optional[Tracer] = None
     if with_trace:
         tracer = Tracer()
@@ -133,26 +112,15 @@ def _worker(
             install_sink(shard)
         except OSError:
             shard = None
-    start = time.perf_counter()
     try:
-        result = run_experiment(exp_id, quick=quick)
-    except Exception:
-        return RunOutcome(
-            exp_id=exp_id,
-            error=traceback.format_exc(),
-            wall=time.perf_counter() - start,
-            trace_events=list(tracer.events) if tracer is not None else [],
-        )
+        outcome = _execute(exp_id, quick, config)
     finally:
         if shard is not None:
             uninstall_sink()
             shard.close()
-    return RunOutcome(
-        exp_id=exp_id,
-        result=result,
-        wall=time.perf_counter() - start,
-        trace_events=list(tracer.events) if tracer is not None else [],
-    )
+    if tracer is not None:
+        outcome.trace_events = list(tracer.events)
+    return outcome
 
 
 class ParallelRunner:
@@ -165,9 +133,7 @@ class ParallelRunner:
     quick:
         Passed through to every experiment's ``run(quick=...)``.
     seed:
-        Run seed installed in every worker (and, for ``jobs=1``, in the
-        parent for the duration of each run).  ``None`` means
-        :data:`~repro.sim.rng.DEFAULT_SEED`.
+        Run seed; overrides ``config.seed`` when given.
     cache:
         A :class:`~repro.exec.cache.ResultCache`, or ``None`` to
         disable caching (``--no-cache``).
@@ -180,7 +146,13 @@ class ParallelRunner:
         ``None``.  Serial runs install it so experiments write sweep
         points directly; parallel runs give each worker a shard file
         and splice shards back in request order.  Either way the runner
-        appends one ``result`` line per finished experiment.
+        appends one ``result`` line per finished experiment, stamped
+        with the config's variant and seed.
+    config:
+        The :class:`~repro.exec.config.RunConfig` installed around every
+        experiment, serial or in a worker.  ``None`` means
+        :meth:`RunConfig.current`: the values this process has installed
+        when the runner is built.
     """
 
     def __init__(
@@ -191,32 +163,15 @@ class ParallelRunner:
         cache: Optional[ResultCache] = None,
         trace: bool = False,
         sink: Optional[ResultSink] = None,
-        hist_backend: Optional[str] = None,
-        calendar: Optional[str] = None,
-        tier: Optional[str] = None,
-        traffic: Optional[str] = None,
-        fleet: Optional[str] = None,
-        placement: Optional[str] = None,
+        config: Optional[RunConfig] = None,
     ):
         self.jobs = max(1, int(jobs))
         self.quick = bool(quick)
-        self.seed = DEFAULT_SEED if seed is None else int(seed)
         self.cache = cache
         self.trace = bool(trace)
         self.sink = sink
-        self.hist_backend = hist_backend
-        #: ``--calendar`` backend re-installed in every worker; for
-        #: ``jobs=1`` the CLI already set the process-wide default.
-        self.calendar = calendar
-        #: ``--tier`` / ``--traffic`` scale-and-arrival knobs for the
-        #: traffic experiments; same worker re-install pattern.
-        self.tier = tier
-        self.traffic = traffic
-        #: ``--fleet`` topology (``"2x4"``) and ``--placement`` policy
-        #: the traffic harness reads via ``active_fleet()``; same worker
-        #: re-install pattern.
-        self.fleet = fleet
-        self.placement = placement
+        config = RunConfig.current() if config is None else config
+        self.config = config if seed is None else replace(config, seed=int(seed))
 
     # -- merge ----------------------------------------------------------
     def _merge(self, outcome: RunOutcome) -> None:
@@ -234,8 +189,10 @@ class ParallelRunner:
                 state = getattr(outcome.result, "metrics_state", None)
                 if state:
                     # Live state: histograms/gauges come back as real
-                    # metric objects with exact (merged) percentiles.
-                    registry.absorb_state(state)
+                    # metric objects with exact (merged) percentiles,
+                    # rebuilt under the run's histogram backend.
+                    with self.config.installed():
+                        registry.absorb_state(state)
                 else:
                     registry.absorb_flat(outcome.result.metrics)
 
@@ -254,30 +211,15 @@ class ParallelRunner:
             ),
             anchors_total=len(result.anchors) if result is not None else 0,
             metrics=len(result.metrics) if result is not None else 0,
-        )
-
-    @property
-    def _cache_variant(self) -> str:
-        """Cache-key salt for run modes that change the stored payload.
-
-        Built by the one canonical :func:`~repro.exec.cache.variant_string`
-        so every payload-changing flag is salted uniformly and distinct
-        flag combinations can never collide.
-        """
-        return variant_string(
-            hist=self.hist_backend,
-            calendar=self.calendar,
-            tier=self.tier,
-            traffic=self.traffic,
-            fleet=self.fleet,
-            placement=self.placement,
+            config=self.config.variant,
+            seed=self.config.seed,
         )
 
     def _lookup(self, exp_id: str) -> Optional[RunOutcome]:
         if self.cache is None or self.trace:
             return None
         start = time.perf_counter()
-        hit = self.cache.get(exp_id, self.quick, self.seed, self._cache_variant)
+        hit = self.cache.get(exp_id, self.quick, self.config.seed, self.config.variant)
         if hit is None:
             return None
         return RunOutcome(
@@ -292,8 +234,8 @@ class ParallelRunner:
             return
         try:
             self.cache.put(
-                outcome.exp_id, self.quick, self.seed, outcome.result, outcome.wall,
-                self._cache_variant,
+                outcome.exp_id, self.quick, self.config.seed, outcome.result,
+                outcome.wall, self.config.variant,
             )
         except Exception:
             # A full disk or unpicklable payload must not fail the run.
@@ -306,24 +248,14 @@ class ParallelRunner:
         the duration so results carry metrics snapshots in every mode —
         a ``jobs=1`` run must not differ from a ``jobs=4`` run.
         """
-        install_seed(self.seed)
         owns_registry = installed_metrics() is None
         if owns_registry:
             install_metrics(MetricsRegistry())
-        start = time.perf_counter()
         try:
-            result = run_experiment(exp_id, quick=self.quick)
-        except Exception:
-            return RunOutcome(
-                exp_id=exp_id,
-                error=traceback.format_exc(),
-                wall=time.perf_counter() - start,
-            )
+            return _execute(exp_id, self.quick, self.config)
         finally:
-            uninstall_seed()
             if owns_registry:
                 uninstall_metrics()
-        return RunOutcome(exp_id=exp_id, result=result, wall=time.perf_counter() - start)
 
     # -- driver ---------------------------------------------------------
     def run_iter(self, exp_ids: Iterable[str]) -> Iterator[RunOutcome]:
@@ -370,9 +302,8 @@ class ParallelRunner:
             with ProcessPoolExecutor(max_workers=min(self.jobs, len(misses))) as pool:
                 futures = {
                     exp_id: pool.submit(
-                        _worker, exp_id, self.quick, self.seed, self.trace,
-                        shard_path(exp_id), self.hist_backend, self.calendar,
-                        self.tier, self.traffic, self.fleet, self.placement,
+                        _worker, exp_id, self.quick, self.config, self.trace,
+                        shard_path(exp_id),
                     )
                     for exp_id in misses
                 }

@@ -133,8 +133,9 @@ def install_injector(plan_or_injector) -> FaultInjector:
     """Make a fault injector active for every subsequent model run.
 
     Accepts a :class:`FaultPlan` (wrapped in a fresh injector) or an
-    existing :class:`FaultInjector`.  Mirrors ``rng.install_seed``: the
-    parallel runner re-installs per worker, so serial and ``--jobs N``
+    existing :class:`FaultInjector`.  A run's ``--fault-rate`` is
+    installed by :meth:`repro.exec.config.RunConfig.installed`, which
+    builds a fresh injector per experiment, so serial and ``--jobs N``
     runs inject identically.
     """
     global _installed

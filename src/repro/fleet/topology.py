@@ -1,11 +1,12 @@
 """The ``--fleet`` topology knob (install pattern).
 
-Follows :mod:`repro.traffic.tiers` / :mod:`repro.sim.calendar`: the CLI
-installs a process-wide default (``--fleet SxD --placement P``), the
-parallel runner re-installs it in every worker call, and fleet-aware
-layers (the traffic ``drive_profile`` harness, the ``fleet-scaling``
-experiment) read :func:`active_fleet` — no threading through
-``run(quick=...)`` signatures.
+Follows :mod:`repro.traffic.tiers` / :mod:`repro.sim.calendar`: a run
+installs a process-wide default from its
+:class:`repro.exec.config.RunConfig` (``--fleet SxD --placement P``)
+around every experiment, and fleet-aware layers (the traffic
+``drive_profile`` harness, the ``fleet-scaling`` experiment) read
+:func:`active_fleet` — no threading through ``run(quick=...)``
+signatures.
 
 A :class:`FleetSpec` is the parameterized topology SCALE-Sim-style
 sweeps expand: ``sockets × devices_per_socket`` DSA instances plus the

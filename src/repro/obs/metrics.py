@@ -26,8 +26,9 @@ The default mode is ``auto``: exact until
 :data:`AUTO_STREAMING_THRESHOLD` samples (small runs keep exact
 percentiles and byte-identical output), then the samples are folded
 into a streaming histogram and memory stops growing.  Select globally
-with :func:`set_default_hist_backend` (the CLI's ``--hist-backend``) or
-per metric via ``registry.histogram(name, backend=...)``.
+(the CLI's ``--hist-backend``, installed from the run's ``RunConfig``;
+:func:`set_default_hist_backend` sets it alone) or per metric via
+``registry.histogram(name, backend=...)``.
 """
 
 from __future__ import annotations
@@ -43,15 +44,15 @@ from repro.sim.stats import TimeWeightedStat
 #: stays exact; low enough that a million-sample run stays O(1).
 AUTO_STREAMING_THRESHOLD = 65536
 
-_BACKENDS = ("auto", "exact", "streaming")
+HIST_BACKENDS = ("auto", "exact", "streaming")
 
 _default_backend = "auto"
 
 
 def set_default_hist_backend(backend: str) -> None:
     """Set the backend new :class:`HistogramMetric` objects default to."""
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown histogram backend {backend!r}; choose from {_BACKENDS}")
+    if backend not in HIST_BACKENDS:
+        raise ValueError(f"unknown histogram backend {backend!r}; choose from {HIST_BACKENDS}")
     global _default_backend
     _default_backend = backend
 
@@ -122,8 +123,8 @@ class HistogramMetric:
     def __init__(self, name: str, backend: Optional[str] = None):
         self.name = name
         backend = _default_backend if backend is None else backend
-        if backend not in _BACKENDS:
-            raise ValueError(f"unknown histogram backend {backend!r}; choose from {_BACKENDS}")
+        if backend not in HIST_BACKENDS:
+            raise ValueError(f"unknown histogram backend {backend!r}; choose from {HIST_BACKENDS}")
         if backend == "streaming":
             self.samples: Union[_SampleHistogram, StreamingHistogram] = StreamingHistogram()
             self._auto_left: Optional[int] = None

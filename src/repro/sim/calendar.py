@@ -37,10 +37,10 @@ its arrival schedule) or promoted from a heap by ``--calendar auto``
 (calibrates over the tens of thousands of entries that triggered the
 promotion).
 
-Backend selection lives here too (:func:`set_default_calendar`), so the
-CLI and the parallel runner can install a process-wide default exactly
-like the histogram backend — ``heap`` (the byte-identical default),
-``wheel``, or ``auto`` (start on the heap, promote past
+The process-wide default backend lives here too (a run installs it
+from :class:`repro.exec.config.RunConfig`; :func:`set_default_calendar`
+sets it alone) — ``heap`` (the byte-identical default), ``wheel``, or
+``auto`` (start on the heap, promote past
 :data:`AUTO_PROMOTE_THRESHOLD` pending entries).
 """
 
@@ -81,9 +81,8 @@ _default_backend = "heap"
 def set_default_calendar(backend: str) -> None:
     """Install the process-wide default for ``Environment(calendar=None)``.
 
-    The CLI applies ``--calendar`` here in the parent, and the parallel
-    runner re-applies it inside every worker process (module globals do
-    not cross the fork/spawn boundary).
+    A run installs ``--calendar`` through its
+    :class:`~repro.exec.config.RunConfig`; this sets the one knob.
     """
     global _default_backend
     if backend not in CALENDAR_BACKENDS:
@@ -352,8 +351,7 @@ class TimingWheel:
         if entry[0] > limit:
             return None
         # Clear the consumed slot so the entry tuple (and through it the
-        # event) drops its last calendar reference — the engine's
-        # timeout free-list relies on refcounts to prove reusability.
+        # event) drops its last calendar reference once consumed.
         bucket[pos] = None
         self._cur_pos = pos + 1
         self._synced_pos += 1

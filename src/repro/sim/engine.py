@@ -44,21 +44,12 @@ a heap entry there.  So the run loop pops heap entries while the heap
 head is ``<= now``, then drains the lane without looking at the heap
 again.  On the benchmark workloads 35–40% of all entries skip the
 heap push and pop this way (docs/PERFORMANCE.md §15).
-
-The engine also recycles :class:`Timeout` objects through a bounded
-free list (``Environment(timeout_pool=...)``): ``yield env.timeout()``
-inside generator processes and the links' cancellable wake timers
-still allocate one per entry, and after a timeout's callbacks run the
-run loop proves via refcount that nobody else holds it, then resets it
-in place for the next ``timeout()`` call instead of letting it churn
-the allocator.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, List, Optional, TYPE_CHECKING
 
 from repro.sim.calendar import AUTO_PROMOTE_THRESHOLD, CALENDAR_BACKENDS, TimingWheel
@@ -85,12 +76,6 @@ NORMAL = 1
 #: in the calendar *and* they outnumber the live entries, the calendar
 #: is rebuilt without them (one O(n) pass instead of n O(log n) pops).
 CALENDAR_COMPACT_THRESHOLD = 64
-
-#: Default capacity of the per-environment :class:`Timeout` free list.
-#: Deep enough to absorb a large fan-out's worth of simultaneously
-#: retiring timers; 0 disables pooling entirely (every ``timeout()``
-#: allocates, as in pre-pool builds).
-DEFAULT_TIMEOUT_POOL = 1024
 
 
 #: :class:`Event` and every subclass (``Event.__init_subclass__`` adds
@@ -459,7 +444,6 @@ class Environment:
         tracer: Optional["Tracer"] = None,
         metrics: Optional["MetricsRegistry"] = None,
         calendar: Optional[str] = None,
-        timeout_pool: int = DEFAULT_TIMEOUT_POOL,
     ):
         # Imported here, not at module level: repro.obs depends on
         # repro.sim.stats, so a top-level import would be circular.
@@ -482,10 +466,6 @@ class Environment:
         # attribute per insert; wheel and auto(-promotion) inserts go
         # through _insert_slow.
         self._fast = backend == "heap"
-        if timeout_pool < 0:
-            raise ValueError(f"timeout_pool must be >= 0, got {timeout_pool}")
-        self._timeout_pool: List[Timeout] = []
-        self._pool_limit = timeout_pool
         self._seq = 0
         self._active_process: Optional[Process] = None
         # Cancellation bookkeeping: totals are exposed as properties and
@@ -535,27 +515,19 @@ class Environment:
         This is the engine's dominant allocation (``yield
         env.timeout(...)`` inside every model loop), so it bypasses the
         ``Timeout.__init__`` / ``Event.__init__`` / ``_schedule`` call
-        chain and builds the object and its calendar entry inline —
-        or skips the allocation entirely by reusing a retired timeout
-        from the free list (the run loop returns them once their
-        refcount proves no one else holds them).
+        chain and builds the object and its calendar entry inline.
         """
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
-        pool = self._timeout_pool
-        if pool:
-            ev = pool.pop()
-            ev._value = value
-        else:
-            ev = _new_event(Timeout)
-            ev.env = self
-            ev.callbacks = []
-            ev._value = value
-            ev._ok = True
-            ev._triggered = True
-            ev._processed = False
-            ev._defused = False
-            ev._cancelled = False
+        ev = _new_event(Timeout)
+        ev.env = self
+        ev.callbacks = []
+        ev._value = value
+        ev._ok = True
+        ev._triggered = True
+        ev._processed = False
+        ev._defused = False
+        ev._cancelled = False
         self._seq += 1
         if self._fast:
             now = self._now
@@ -574,9 +546,9 @@ class Environment:
         Pushes ``(now + delay, NORMAL, seq, fn)`` with ``seq`` from the
         same counter as every other entry, so it pops exactly where
         ``timeout(delay).callbacks.append(fn)`` would — without the
-        :class:`Timeout`, its callbacks list, or the pool check on
-        retire.  For one hop of a fixed chain that nobody else waits on:
-        the entry cannot be cancelled, yielded or waited for.
+        :class:`Timeout` and its callbacks list.  For one hop of a fixed
+        chain that nobody else waits on: the entry cannot be cancelled,
+        yielded or waited for.
         """
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
@@ -604,7 +576,7 @@ class Environment:
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         # No auto-promotion check here: pending-count growth into the
         # millions is always timeout-driven (``timeout()`` checks), and
-        # keeping this non-pooled path two branches shorter matters for
+        # keeping this path two branches shorter matters for
         # succeed/fail-heavy workloads.
         self._seq += 1
         if self._fast:
@@ -788,28 +760,19 @@ class Environment:
         never re-checks the heap (the module docstring has the
         argument), before the next heap pop moves the clock.
 
-        Retired :class:`Timeout` objects are recycled here: after an
-        event's callbacks run (or a cancelled entry is discarded), a
-        refcount of exactly 2 — the loop local plus the ``getrefcount``
-        argument — proves no model code still holds the object, so it
-        is reset in place and parked on the free list for the next
-        ``timeout()`` call.  An ``auto`` environment may promote to the
-        wheel mid-run (a callback scheduling past the threshold empties
-        the heap in place), so the outer loop re-checks the backend
-        whenever the heap drains.
+        An ``auto`` environment may promote to the wheel mid-run (a
+        callback scheduling past the threshold empties the heap in
+        place), so the outer loop re-checks the backend whenever the
+        heap drains.
         """
         if until is not None and until < self._now:
             raise ValueError(f"until ({until}) is in the past (now={self._now})")
-        pool = self._timeout_pool
-        pool_limit = self._pool_limit
         event_types = _EVENT_TYPES
-        timeout_cls = Timeout
-        refcount = getrefcount
         try:
             while True:
                 wheel = self._wheel
                 if wheel is not None:
-                    self._run_wheel(wheel, until, pool, pool_limit)
+                    self._run_wheel(wheel, until)
                     return
                 calendar = self._calendar
                 lane = self._lane
@@ -828,16 +791,6 @@ class Environment:
                             if event._cancelled:
                                 self._stale_timers += 1
                                 self._dead_entries -= 1
-                                if (
-                                    type(event) is timeout_cls
-                                    and len(pool) < pool_limit
-                                    and refcount(event) == 2
-                                ):
-                                    event._cancelled = False
-                                    event._defused = False
-                                    event._value = None
-                                    event.callbacks.clear()
-                                    pool.append(event)
                                 continue
                             callbacks, event.callbacks = event.callbacks, None
                             event._processed = True
@@ -845,17 +798,6 @@ class Environment:
                                 callback(event)
                             if not event._ok and not event._defused:
                                 raise event._value
-                            if (
-                                type(event) is timeout_cls
-                                and len(pool) < pool_limit
-                                and refcount(event) == 2
-                            ):
-                                event._processed = False
-                                event._defused = False
-                                event._value = None
-                                callbacks.clear()
-                                event.callbacks = callbacks
-                                pool.append(event)
                     if not calendar:
                         break
                     if until is not None and calendar[0][0] > until:
@@ -871,16 +813,6 @@ class Environment:
                         # a timer that was cancelled before it fired.
                         self._stale_timers += 1
                         self._dead_entries -= 1
-                        if (
-                            type(event) is timeout_cls
-                            and len(pool) < pool_limit
-                            and refcount(event) == 2
-                        ):
-                            event._cancelled = False
-                            event._defused = False
-                            event._value = None
-                            event.callbacks.clear()
-                            pool.append(event)
                         continue
                     self._now = when
                     callbacks, event.callbacks = event.callbacks, None
@@ -889,17 +821,6 @@ class Environment:
                         callback(event)
                     if not event._ok and not event._defused:
                         raise event._value
-                    if (
-                        type(event) is timeout_cls
-                        and len(pool) < pool_limit
-                        and refcount(event) == 2
-                    ):
-                        event._processed = False
-                        event._defused = False
-                        event._value = None
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        pool.append(event)
                 if self._wheel is None:
                     break
             if until is not None:
@@ -911,7 +832,7 @@ class Environment:
             ):
                 self._flush_cancel_metrics()
 
-    def _run_wheel(self, wheel: TimingWheel, until: Optional[float], pool, pool_limit) -> None:
+    def _run_wheel(self, wheel: TimingWheel, until: Optional[float]) -> None:
         """The wheel-backed run loop (same semantics as the heap loop).
 
         Instead of a ``pop_due`` method call per event, the loop drains
@@ -926,8 +847,6 @@ class Environment:
         """
         limit = float("inf") if until is None else until
         event_types = _EVENT_TYPES
-        timeout_cls = Timeout
-        refcount = getrefcount
         while True:
             bucket = wheel._cur_bucket
             pos = wheel._cur_pos
@@ -951,13 +870,12 @@ class Environment:
                         wheel._cur_pos = pos
                         self._now = until
                         return
-                    # Clear the consumed slot and drop the locals so the
-                    # entry tuple frees: pooling needs refcount == 2.
+                    # Clear the consumed slot so the entry frees as soon
+                    # as it has run, not when the whole bucket drains.
                     bucket[pos] = None
                     pos += 1
                     wheel._cur_pos = pos
                     when, _prio, _seq, event = entry
-                    entry = None
                     if type(event) not in event_types:  # bare entry
                         self._now = when
                         event()
@@ -965,16 +883,6 @@ class Environment:
                     if event._cancelled:
                         self._stale_timers += 1
                         self._dead_entries -= 1
-                        if (
-                            type(event) is timeout_cls
-                            and len(pool) < pool_limit
-                            and refcount(event) == 2
-                        ):
-                            event._cancelled = False
-                            event._defused = False
-                            event._value = None
-                            event.callbacks.clear()
-                            pool.append(event)
                         continue
                     self._now = when
                     callbacks, event.callbacks = event.callbacks, None
@@ -983,17 +891,6 @@ class Environment:
                         callback(event)
                     if not event._ok and not event._defused:
                         raise event._value
-                    if (
-                        type(event) is timeout_cls
-                        and len(pool) < pool_limit
-                        and refcount(event) == 2
-                    ):
-                        event._processed = False
-                        event._defused = False
-                        event._value = None
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        pool.append(event)
             finally:
                 # The count is settled per bucket, not per event;
                 # ``len(wheel)`` subtracts the cursor's advance since the

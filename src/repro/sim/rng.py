@@ -21,10 +21,10 @@ _installed_seed: Optional[int] = None
 def install_seed(seed: Optional[int]) -> None:
     """Make ``seed`` the default for every ``make_rng(None)`` call site.
 
-    The parallel runner (``repro.exec``) installs the run's seed in each
-    worker process before an experiment starts, so a ``--jobs N`` run
-    draws exactly the same streams as a serial one and ``--seed`` needs
-    no threading through every experiment signature.  ``None`` restores
+    The runner (``repro.exec``) installs the run's seed around every
+    experiment, in process or in a worker, so a ``--jobs N`` run draws
+    exactly the same streams as a serial one and ``--seed`` needs no
+    threading through every experiment signature.  ``None`` restores
     :data:`DEFAULT_SEED`.
     """
     global _installed_seed

@@ -9,11 +9,9 @@ a medium tier for local calibration, and a large tier a nightly job
 runs at the full ~2M-request scale.  ``docs/TRAFFIC.md`` carries the
 same table with expected timings.
 
-The active tier follows the install pattern of
-:func:`repro.obs.metrics.set_default_hist_backend` /
-:func:`repro.sim.calendar.set_default_calendar`:
-the CLI installs a process-wide default (``--tier``), the parallel
-runner re-installs it in every worker call, and experiments read
+The active tier is a process-wide default that a run installs from its
+:class:`repro.exec.config.RunConfig` (``--tier``) around every
+experiment, serial or in a worker, and experiments read
 :func:`active_tier` — no threading through ``run(quick=...)``
 signatures.  The same module holds the ``--traffic`` arrival-process
 override (force every tenant to Poisson/bursty/diurnal arrivals) since

@@ -1,4 +1,4 @@
-"""Timing-wheel calendar: unit, differential, pooling, and backend tests.
+"""Timing-wheel calendar: unit, differential, timeout and backend tests.
 
 The load-bearing property is *order identity*: for any schedule —
 including cancellations and same-timestamp ties — the wheel backend
@@ -365,30 +365,7 @@ def test_auto_promotes_mid_run(monkeypatch):
     assert env.now == 1.0 + 2.0 + 63.0  # fan-out armed at t=1
 
 
-# -- timeout pooling -------------------------------------------------------
-
-
-def test_timeout_pool_recycles_objects():
-    env = Environment()
-
-    def proc(env):
-        for _ in range(50):
-            yield env.timeout(1.0)
-
-    env.process(proc(env))
-    env.run()
-    # The run loop retires each fired timeout back to the free list.
-    assert len(env._timeout_pool) >= 1
-
-    def proc2(env):
-        for _ in range(10):
-            yield env.timeout(1.0)
-
-    before = len(env._timeout_pool)
-    env.process(proc2(env))
-    env.run()
-    # Steady state: reuse, no net pool growth beyond one in flight.
-    assert len(env._timeout_pool) <= before + 1
+# -- timeout values --------------------------------------------------------
 
 
 def test_timeout_pool_reuses_identity_and_resets_value():
@@ -403,65 +380,12 @@ def test_timeout_pool_reuses_identity_and_resets_value():
 
     env.process(proc(env))
     env.run()
-    assert seen == ["a", None]  # value reset on reuse, not sticky
-
-
-def test_timeout_pool_disabled():
-    env = Environment(timeout_pool=0)
-
-    def proc(env):
-        for _ in range(20):
-            yield env.timeout(1.0)
-
-    env.process(proc(env))
-    env.run()
-    assert env._timeout_pool == []
-
-
-def test_timeout_pool_rejects_negative():
-    with pytest.raises(ValueError):
-        Environment(timeout_pool=-1)
-
-
-def test_timeout_pool_skips_held_references():
-    env = Environment()
-    held = [env.timeout(float(i)) for i in range(10)]
-    env.run()
-    # Model code still holds these timeouts; none may be recycled.
-    assert env._timeout_pool == []
-    assert all(ev.processed for ev in held)
-
-
-def test_timeout_pool_recycles_cancelled_discards():
-    env = Environment()
-    for i in range(10):
-        env.timeout(float(i)).cancel()
-    env.timeout(100.0)
-    env.run()
-    assert env.now == 100.0
-    assert len(env._timeout_pool) >= 9  # discarded entries were recycled
-    # Recycled cancelled timeouts must come back clean.
-    ev = env.timeout(1.0)
-    assert not ev.cancelled and ev.callbacks == [] and ev._value is None
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_timeout_pool_recycles_under_all_backends(backend):
-    env = Environment(calendar=backend)
-
-    def proc(env):
-        for _ in range(30):
-            yield env.timeout(1.0)
-
-    env.process(proc(env))
-    env.run()
-    assert len(env._timeout_pool) >= 1
-    assert env.now == 30.0
+    assert seen == ["a", None]  # each timeout carries its own value
 
 
 def test_pooled_condition_timeouts_not_recycled_while_held():
-    # all_of holds its source events in its value dict; they must not
-    # be recycled out from under it.
+    # all_of holds its source events in its value dict; their values
+    # must still be there when it fires.
     env = Environment()
     results = []
 
