@@ -2,7 +2,7 @@
 """CI smoke: streaming observability runs in constant memory.
 
 Drives the full streaming stack — a ``RingTracer`` (bounded ring,
-spill-to-disk), a ``streaming``-backend ``HistogramMetric``, and a
+spill-to-disk), a ``HistogramMetric`` (streaming buckets), and a
 ``ResultSink`` — through a synthetic descriptor workload at two sizes
 (default 1e5 and 1e6 records+samples) and compares the tracemalloc
 peaks.  If memory is genuinely O(capacity + buckets) rather than
@@ -47,7 +47,7 @@ def drive(n, workdir):
     """Emit ``n`` trace records, ``n`` histogram samples, n/1000 sink lines."""
     tracer = RingTracer(capacity=RING_CAPACITY, spill_dir=str(workdir / "spill"))
     registry = MetricsRegistry()
-    hist = registry.histogram("smoke.lat", backend="streaming")
+    hist = registry.histogram("smoke.lat")
     sink = ResultSink(workdir / "results.jsonl")
     rng = random.Random(13)
     complete = tracer.complete

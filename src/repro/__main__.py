@@ -62,8 +62,6 @@ def _cmd_run(args) -> int:
         targets = resolve_ids(args.experiment)
         config = RunConfig(
             seed=args.seed,
-            hist_backend=args.hist_backend,
-            calendar=args.calendar,
             tier=args.tier,
             traffic=args.traffic,
             fleet=args.fleet,
@@ -296,24 +294,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="print the metrics-registry snapshot after each experiment "
         "plus a final observability-overhead table",
-    )
-    run_parser.add_argument(
-        "--hist-backend",
-        choices=["auto", "exact", "streaming"],
-        default="auto",
-        help="histogram metric backend: exact (store samples), streaming "
-        "(fixed log buckets, <=1%% percentile error, O(1) memory), or "
-        "auto (exact until 65536 samples, then streaming; the default)",
-    )
-    run_parser.add_argument(
-        "--calendar",
-        choices=["heap", "wheel", "auto"],
-        default="heap",
-        help="event-calendar backend: heap (binary heap, byte-identical "
-        "default), wheel (hierarchical timing wheel, O(1) amortized — for "
-        "open-loop runs with millions of pending timers), or auto (heap "
-        "until 65536 pending entries, then promote to a wheel); both pop "
-        "in the identical order, see docs/PERFORMANCE.md section 7",
     )
     run_parser.add_argument(
         "--tier",

@@ -54,8 +54,6 @@ DEFAULT_ROOT = ".repro-cache"
 #: the variant salt, so default runs keep their historical (empty
 #: variant) keys across releases that add new flags.
 VARIANT_DEFAULTS = {
-    "hist": "auto",
-    "calendar": "heap",
     "tier": "small",
     "traffic": "default",
     "fleet": "1x1",
@@ -67,8 +65,8 @@ def variant_string(**flags) -> str:
     """Canonical cache-``variant`` salt for run-mode flags.
 
     One builder instead of ad hoc concatenation at call sites:
-    ``variant_string(hist="streaming", calendar="wheel")`` →
-    ``"calendar=wheel,hist=streaming"``.  Properties that make distinct
+    ``variant_string(tier="medium", fleet="2x4")`` →
+    ``"fleet=2x4,tier=medium"``.  Properties that make distinct
     flag combinations collision-free:
 
     * keys are emitted in sorted order (call-site order is irrelevant);
@@ -128,9 +126,8 @@ class ResultCache:
         """Full content key for one (experiment, flags, seed, code) tuple.
 
         ``variant`` salts the key for run modes that change the stored
-        payload without changing the code — for example the non-default
-        ``--hist-backend`` choices (metrics snapshots differ from the
-        ``auto`` default).  Callers build it with
+        payload without changing the code — for example a non-default
+        ``--tier`` or ``--fleet``.  Callers build it with
         :func:`variant_string`; the empty default keeps existing keys.
         """
         source_fp = fingerprint(module_path(exp_id))

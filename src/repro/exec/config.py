@@ -2,16 +2,15 @@
 
 Experiments take only ``run(quick=...)``; the rest of a run's
 configuration reaches them through process globals read at the point
-of use: the default RNG seed, the histogram backend, the calendar
-backend, the traffic tier and arrival override, the fleet topology and
-placement, and the fault injector.  :class:`RunConfig` is the one
-object that says what those globals hold for a run.  It is built once
-(by the CLI from its flags, or read from the process with
-:meth:`RunConfig.current`), validated once at construction, pickled
-whole to worker processes, and installed per experiment by
-:meth:`RunConfig.installed` — in-process and in a worker alike, so a
-serial run and a ``--jobs N`` run see the same values.  Its
-:attr:`~RunConfig.variant` is the cache-key salt.
+of use: the default RNG seed, the traffic tier and arrival override,
+the fleet topology and placement, and the fault injector.
+:class:`RunConfig` is the one object that says what those globals hold
+for a run.  It is built once (by the CLI from its flags, or read from
+the process with :meth:`RunConfig.current`), validated once at
+construction, pickled whole to worker processes, and installed per
+experiment by :meth:`RunConfig.installed` — in-process and in a worker
+alike, so a serial run and a ``--jobs N`` run see the same values.
+Its :attr:`~RunConfig.variant` is the cache-key salt.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from repro.exec.cache import variant_string
 from repro.faults import FaultPlan, injection
 from repro.fleet import topology
 from repro.fleet.topology import FleetSpec, parse_fleet
-from repro.obs import metrics
-from repro.sim import calendar as sim_calendar
 from repro.sim import rng
 from repro.traffic import tiers
 
@@ -35,11 +32,10 @@ class RunConfig:
     """The CLI's run knobs as one frozen, picklable value."""
 
     seed: int = rng.DEFAULT_SEED
-    hist_backend: str = "auto"
-    calendar: str = "heap"
     tier: str = "small"
     traffic: str = "default"
-    #: ``SOCKETSxDEVICES``, kept as given so the cache salt is too.
+    #: ``SOCKETSxDEVICES``; stored in that canonical spelling, so every
+    #: way of typing one topology salts the cache the same.
     fleet: str = "1x1"
     placement: str = "round-robin"
     #: Page-fault injection rate; ``None`` installs no injector.
@@ -51,14 +47,14 @@ class RunConfig:
         if not isinstance(self.seed, int):
             raise TypeError(f"seed must be an int, got {type(self.seed).__name__}")
         for what, value, allowed in (
-            ("histogram backend", self.hist_backend, metrics.HIST_BACKENDS),
-            ("calendar backend", self.calendar, sim_calendar.CALENDAR_BACKENDS),
             ("scale tier", self.tier, tuple(tiers.TIERS)),
             ("traffic mode", self.traffic, tiers.TRAFFIC_MODES),
         ):
             if value not in allowed:
                 raise ValueError(f"unknown {what} {value!r}; choose from {list(allowed)}")
-        self.fleet_spec  # parses --fleet and checks the placement policy
+        sockets, devices = parse_fleet(self.fleet)
+        object.__setattr__(self, "fleet", f"{sockets}x{devices}")
+        self.fleet_spec  # checks the placement policy
         if self.fault_rate is not None:
             self._fault_plan().validate()
 
@@ -68,8 +64,6 @@ class RunConfig:
         fleet = topology.active_fleet()
         return cls(
             seed=rng.installed_seed(),
-            hist_backend=metrics.default_hist_backend(),
-            calendar=sim_calendar.default_calendar(),
             tier=tiers.default_tier(),
             traffic=tiers.default_traffic(),
             fleet=f"{fleet.sockets}x{fleet.devices_per_socket}",
@@ -88,8 +82,6 @@ class RunConfig:
         salted only when set, so every fault-free key is unchanged.
         """
         return variant_string(
-            hist=self.hist_backend,
-            calendar=self.calendar,
             tier=self.tier,
             traffic=self.traffic,
             fleet=self.fleet,
@@ -108,8 +100,6 @@ class RunConfig:
         straight to the globals the model reads.
         """
         rng.install_seed(self.seed)
-        metrics._default_backend = self.hist_backend
-        sim_calendar._default_backend = self.calendar
         tiers._default_tier = self.tier
         tiers._default_traffic = self.traffic
         topology._default_fleet = self.fleet_spec

@@ -1,11 +1,10 @@
 """The ``--fleet`` topology knob (install pattern).
 
-Follows :mod:`repro.traffic.tiers` / :mod:`repro.sim.calendar`: a run
-installs a process-wide default from its
-:class:`repro.exec.config.RunConfig` (``--fleet SxD --placement P``)
-around every experiment, and fleet-aware layers (the traffic
-``drive_profile`` harness, the ``fleet-scaling`` experiment) read
-:func:`active_fleet` — no threading through ``run(quick=...)``
+Follows :mod:`repro.traffic.tiers`: a run installs a process-wide
+default from its :class:`repro.exec.config.RunConfig` (``--fleet SxD
+--placement P``) around every experiment, and fleet-aware layers (the
+traffic ``drive_profile`` harness, the ``fleet-scaling`` experiment)
+read :func:`active_fleet` — no threading through ``run(quick=...)``
 signatures.
 
 A :class:`FleetSpec` is the parameterized topology SCALE-Sim-style

@@ -13,15 +13,12 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.metrics import (
-    AUTO_STREAMING_THRESHOLD,
     Counter,
     Gauge,
     HistogramMetric,
     MetricsRegistry,
-    default_hist_backend,
     install_metrics,
     installed_metrics,
-    set_default_hist_backend,
     uninstall_metrics,
 )
 from repro.obs.overhead import MemoryWatermark, publish_overhead
@@ -39,7 +36,6 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
-    "AUTO_STREAMING_THRESHOLD",
     "Counter",
     "DEFAULT_RELATIVE_ERROR",
     "Gauge",
@@ -54,7 +50,6 @@ __all__ = [
     "StreamingHistogram",
     "Tracer",
     "chrome_trace_events",
-    "default_hist_backend",
     "install_metrics",
     "install_sink",
     "install_tracer",
@@ -65,7 +60,6 @@ __all__ = [
     "metrics_table",
     "phase_breakdown",
     "publish_overhead",
-    "set_default_hist_backend",
     "snapshot_table",
     "span_durations",
     "uninstall_metrics",

@@ -11,24 +11,12 @@ Hot-path discipline: components create their metric objects **once**
 (at construction) and keep them in attributes, so each update is an
 attribute access plus a float add — no per-event name lookup.
 
-Histogram backends
-------------------
-:class:`HistogramMetric` keeps sample distributions behind one of two
-backends:
-
-* ``exact`` — :class:`repro.sim.stats.Histogram`, stores every sample;
-  exact percentiles, O(n) memory.
-* ``streaming`` — :class:`repro.obs.streaming.StreamingHistogram`,
-  fixed log buckets; percentiles within a documented 1% relative error,
-  O(1) memory, exact bucket-wise merge.
-
-The default mode is ``auto``: exact until
-:data:`AUTO_STREAMING_THRESHOLD` samples (small runs keep exact
-percentiles and byte-identical output), then the samples are folded
-into a streaming histogram and memory stops growing.  Select globally
-(the CLI's ``--hist-backend``, installed from the run's ``RunConfig``;
-:func:`set_default_hist_backend` sets it alone) or per metric via
-``registry.histogram(name, backend=...)``.
+Histograms
+----------
+:class:`HistogramMetric` keeps its samples in a
+:class:`repro.obs.streaming.StreamingHistogram`: fixed log buckets,
+percentiles within a documented 1% relative error, O(1) memory, and an
+exact bucket-wise merge across worker registries.
 """
 
 from __future__ import annotations
@@ -36,29 +24,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.obs.streaming import StreamingHistogram
-from repro.sim.stats import Histogram as _SampleHistogram
 from repro.sim.stats import TimeWeightedStat
-
-#: ``auto`` histograms hold exact samples up to this count, then spill
-#: into fixed buckets.  High enough that every quick-mode experiment
-#: stays exact; low enough that a million-sample run stays O(1).
-AUTO_STREAMING_THRESHOLD = 65536
-
-HIST_BACKENDS = ("auto", "exact", "streaming")
-
-_default_backend = "auto"
-
-
-def set_default_hist_backend(backend: str) -> None:
-    """Set the backend new :class:`HistogramMetric` objects default to."""
-    if backend not in HIST_BACKENDS:
-        raise ValueError(f"unknown histogram backend {backend!r}; choose from {HIST_BACKENDS}")
-    global _default_backend
-    _default_backend = backend
-
-
-def default_hist_backend() -> str:
-    return _default_backend
 
 
 class Counter:
@@ -107,49 +73,17 @@ class Gauge:
 
 
 class HistogramMetric:
-    """Named sample distribution behind a selectable backend.
+    """Named sample distribution; ``samples`` is its
+    :class:`~repro.obs.streaming.StreamingHistogram`."""
 
-    ``samples`` is the live backend object — an exact
-    :class:`~repro.sim.stats.Histogram` or a
-    :class:`~repro.obs.streaming.StreamingHistogram`; both expose
-    ``add``/``percentile``/``summary``/``mean``/``__len__``, so readers
-    don't care which is active.  In ``auto`` mode the metric starts
-    exact and promotes itself to streaming when it crosses
-    :data:`AUTO_STREAMING_THRESHOLD` samples.
-    """
+    __slots__ = ("name", "samples")
 
-    __slots__ = ("name", "samples", "_auto_left")
-
-    def __init__(self, name: str, backend: Optional[str] = None):
+    def __init__(self, name: str):
         self.name = name
-        backend = _default_backend if backend is None else backend
-        if backend not in HIST_BACKENDS:
-            raise ValueError(f"unknown histogram backend {backend!r}; choose from {HIST_BACKENDS}")
-        if backend == "streaming":
-            self.samples: Union[_SampleHistogram, StreamingHistogram] = StreamingHistogram()
-            self._auto_left: Optional[int] = None
-        else:
-            self.samples = _SampleHistogram()
-            self._auto_left = AUTO_STREAMING_THRESHOLD if backend == "auto" else None
-
-    @property
-    def backend(self) -> str:
-        """The *active* backend: ``exact`` or ``streaming``."""
-        return "streaming" if isinstance(self.samples, StreamingHistogram) else "exact"
+        self.samples = StreamingHistogram()
 
     def add(self, value: float) -> None:
         self.samples.add(value)
-        if self._auto_left is not None:
-            self._auto_left -= 1
-            if self._auto_left <= 0:
-                self._promote()
-
-    def _promote(self) -> None:
-        """Fold the exact samples into fixed buckets; stop storing them."""
-        streaming = StreamingHistogram()
-        streaming.extend(self.samples.values)
-        self.samples = streaming
-        self._auto_left = None
 
     def percentile(self, pct: float) -> float:
         return self.samples.percentile(pct)
@@ -159,32 +93,12 @@ class HistogramMetric:
 
     # -- merge / serialization ------------------------------------------
     def export_state(self) -> Dict[str, Any]:
-        """Backend-tagged state; merged exactly by :meth:`absorb_state`."""
-        if isinstance(self.samples, StreamingHistogram):
-            return {"backend": "streaming", "state": self.samples.state()}
-        return {"backend": "exact", "samples": self.samples.values}
+        """Bucket counts; merged exactly by :meth:`absorb_state`."""
+        return self.samples.state()
 
     def absorb_state(self, state: Dict[str, Any]) -> None:
-        """Fold a worker histogram's exported state in, exactly.
-
-        exact+exact extends samples; streaming+streaming merges bucket
-        counts; a mixed pair promotes the exact side first (streaming
-        wins — its error bound then covers the merged result).
-        """
-        incoming_streaming = state["backend"] == "streaming"
-        if incoming_streaming and not isinstance(self.samples, StreamingHistogram):
-            self._promote()
-        if isinstance(self.samples, StreamingHistogram):
-            if incoming_streaming:
-                self.samples.merge(StreamingHistogram.from_state(state["state"]))
-            else:
-                self.samples.extend(state["samples"])
-        else:
-            self.samples.extend(state["samples"])
-            if self._auto_left is not None:
-                self._auto_left = AUTO_STREAMING_THRESHOLD - len(self.samples)
-                if self._auto_left <= 0:
-                    self._promote()
+        """Fold a worker histogram's exported state in, bucket for bucket."""
+        self.samples.merge(StreamingHistogram.from_state(state))
 
 
 Metric = Union[Counter, Gauge, HistogramMetric]
@@ -205,10 +119,10 @@ class MetricsRegistry:
     def __iter__(self) -> Iterator[Tuple[str, Metric]]:
         return iter(sorted(self._metrics.items()))
 
-    def _get_or_create(self, name: str, kind: type, **kwargs) -> Metric:
+    def _get_or_create(self, name: str, kind: type) -> Metric:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = kind(name, **kwargs)
+            metric = kind(name)
             self._metrics[name] = metric
         elif not isinstance(metric, kind):
             raise TypeError(
@@ -223,11 +137,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge)  # type: ignore[return-value]
 
-    def histogram(self, name: str, backend: Optional[str] = None) -> HistogramMetric:
-        """Get or create a histogram; ``backend`` only applies on creation."""
-        if name in self._metrics:
-            return self._get_or_create(name, HistogramMetric)  # type: ignore[return-value]
-        return self._get_or_create(name, HistogramMetric, backend=backend)  # type: ignore[return-value]
+    def histogram(self, name: str) -> HistogramMetric:
+        return self._get_or_create(name, HistogramMetric)  # type: ignore[return-value]
 
     def snapshot(self) -> Dict[str, float]:
         """Flatten every metric into ``{dotted.name: value}``.
@@ -254,7 +165,7 @@ class MetricsRegistry:
         """Serializable live state: ``{name: (kind, payload)}``.
 
         Unlike :meth:`snapshot`, this is invertible — histograms carry
-        their sample lists (exact) or bucket counts (streaming), gauges
+        their bucket counts, gauges
         their full time-weighted state — so a worker registry can be
         folded into a parent with :meth:`absorb_state` *without* losing
         distribution shape.  Payloads are plain dicts/lists (picklable
@@ -273,9 +184,8 @@ class MetricsRegistry:
     def absorb_state(self, state: Dict[str, Tuple[str, Any]]) -> None:
         """Merge an :meth:`export_state` dict into this registry, exactly.
 
-        Counters sum; histograms merge sample-for-sample (exact) or
-        bucket-for-bucket (streaming), so a merged ``p99`` is the ``p99``
-        of the union, not the last worker's value.  Gauges merge
+        Counters sum; histograms merge bucket for bucket, so a merged
+        ``p99`` is the ``p99`` of the union, not the last worker's value.  Gauges merge
         conservatively: the maximum is the max of maxima, the level is
         the incoming level, and the mean is the span-weighted average of
         the two epochs (exact when the epochs cover disjoint runs, which

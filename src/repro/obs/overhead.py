@@ -14,10 +14,9 @@ Metric names (see docs/OBSERVABILITY.md):
 * ``obs.overhead.trace.buffered`` — records currently in memory
 * ``obs.overhead.trace.spilled_records`` / ``.spill_bytes`` /
   ``.shards`` — what went to disk (0 for the in-memory tracer)
-* ``obs.overhead.hist.metrics`` / ``.streaming_metrics`` — histogram
-  metrics in the registry / how many run the streaming backend
+* ``obs.overhead.hist.metrics`` — histogram metrics in the registry
 * ``obs.overhead.hist.buckets`` — occupied streaming buckets (the
-  memory footprint proxy); ``.samples`` — exact samples still stored
+  memory footprint proxy)
 * ``obs.overhead.mem.peak_kb`` — tracemalloc peak, when a watermark ran
 """
 
@@ -26,7 +25,7 @@ from __future__ import annotations
 import tracemalloc
 from typing import Optional
 
-from repro.obs.metrics import HistogramMetric, MetricsRegistry, StreamingHistogram
+from repro.obs.metrics import HistogramMetric, MetricsRegistry
 from repro.obs.tracer import Tracer
 
 
@@ -107,20 +106,13 @@ def publish_overhead(
         registry.counter("obs.overhead.trace.shards").value = float(
             getattr(tracer, "shard_count", 0)
         )
-    hist_metrics = streaming_metrics = buckets = exact_samples = 0
+    hist_metrics = buckets = 0
     for _name, metric in source_registry:
-        if not isinstance(metric, HistogramMetric):
-            continue
-        hist_metrics += 1
-        if isinstance(metric.samples, StreamingHistogram):
-            streaming_metrics += 1
+        if isinstance(metric, HistogramMetric):
+            hist_metrics += 1
             buckets += metric.samples.bucket_count
-        else:
-            exact_samples += len(metric.samples)
     registry.counter("obs.overhead.hist.metrics").value = float(hist_metrics)
-    registry.counter("obs.overhead.hist.streaming_metrics").value = float(streaming_metrics)
     registry.counter("obs.overhead.hist.buckets").value = float(buckets)
-    registry.counter("obs.overhead.hist.samples").value = float(exact_samples)
     if watermark is not None:
         registry.counter("obs.overhead.mem.peak_kb").value = round(watermark.peak_kb, 1)
     return registry

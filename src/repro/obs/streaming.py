@@ -12,12 +12,12 @@ histograms with the same ``alpha`` merge *exactly* by adding bucket
 counts, which is what makes worker-side percentiles foldable into a
 parent registry without shipping samples.
 
-The API deliberately mirrors :class:`repro.sim.stats.Histogram` (the
-exact backend): ``add``/``extend``/``percentile``/``summary``/``mean``/
-``minimum``/``maximum``/``__len__``, so
-:class:`repro.obs.metrics.HistogramMetric` can swap one for the other
-behind its ``samples`` attribute.  Count, sum, min, and max are tracked
-exactly; only interior percentiles are approximate.
+The API deliberately mirrors :class:`repro.sim.stats.Histogram` (which
+stores every sample): ``add``/``extend``/``percentile``/``summary``/
+``mean``/``minimum``/``maximum``/``__len__``.
+:class:`repro.obs.metrics.HistogramMetric` keeps one behind its
+``samples`` attribute.  Count, sum, min, and max are tracked exactly;
+only interior percentiles are approximate.
 
 Error bound
 -----------

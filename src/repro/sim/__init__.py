@@ -40,13 +40,6 @@ from repro.sim.arrivals import (
     PoissonProcess,
     open_loop,
 )
-from repro.sim.calendar import (
-    AUTO_PROMOTE_THRESHOLD,
-    CALENDAR_BACKENDS,
-    TimingWheel,
-    default_calendar,
-    set_default_calendar,
-)
 from repro.sim.engine import (
     Condition,
     Environment,
@@ -56,7 +49,7 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import PriorityStore, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.stats import Histogram, OnlineStat, TimeWeightedStat
 from repro.sim.rng import (
     DEFAULT_SEED,
@@ -73,11 +66,6 @@ __all__ = [
     "install_seed",
     "installed_seed",
     "uninstall_seed",
-    "AUTO_PROMOTE_THRESHOLD",
-    "CALENDAR_BACKENDS",
-    "TimingWheel",
-    "default_calendar",
-    "set_default_calendar",
     "ArrivalProcess",
     "BurstyProcess",
     "DiurnalProcess",
@@ -92,7 +80,6 @@ __all__ = [
     "Timeout",
     "Resource",
     "Store",
-    "PriorityStore",
     "Histogram",
     "OnlineStat",
     "TimeWeightedStat",

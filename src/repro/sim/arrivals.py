@@ -4,10 +4,9 @@ Closed-loop experiments (the paper's figures) re-submit the moment a
 descriptor completes, so they never have more than queue-depth timers
 pending.  Open-loop traffic — the ROADMAP's datacenter serving mode —
 instead schedules work at instants drawn from an arrival process,
-independent of completions, which is exactly the millions-of-pending-
-timers regime the timing-wheel calendar exists for.
+independent of completions.
 
-Two processes are provided, both parameterized by ``rate`` in events
+Three processes are provided, all parameterized by ``rate`` in events
 per simulated nanosecond (the repo-wide time unit):
 
 * :class:`PoissonProcess` — exponential interarrival gaps, the

@@ -21,21 +21,12 @@ the push, so a model moved from ``timeout(d).callbacks.append(fn)`` to
 ``call_in(d, fn)`` pops in exactly the same order.  Bare entries are
 never cancelled.
 
-The calendar has two interchangeable backends (``Environment(calendar=
-...)``, CLI ``--calendar``): the default binary heap, byte-identical to
-every prior build, and the :class:`~repro.sim.calendar.TimingWheel` for
-runs with millions of *concurrent* pending timers, where the heap's
-O(log n) per-event tuple comparisons dominate.  ``auto`` starts on the
-heap and promotes one-way to a wheel past
-:data:`~repro.sim.calendar.AUTO_PROMOTE_THRESHOLD` pending entries.
-Both backends pop in the identical ``(when, priority, seq)`` total
-order, so a model never observes which one is underneath.  Every entry
-has priority ``NORMAL``, so that order is ``(when, seq)``.
-
-The heap backend keeps a *same-instant lane* beside the heap: a FIFO
-(``collections.deque``) of the items whose computed ``when`` equals
-the clock at the push (``now + delay == now``, which also catches a
-positive delay rounded away at a large ``now``).  The entry still takes
+The calendar is a binary heap.  Every entry has priority ``NORMAL``,
+so it pops in ``(when, seq)`` order.  Beside the heap it keeps a
+*same-instant lane*: a FIFO (``collections.deque``) of the items whose
+computed ``when`` equals the clock at the push (``now + delay ==
+now``, which also catches a positive delay rounded away at a large
+``now``).  The entry still takes
 its ``seq``; the lane holds just the item, since its key is implied.
 The order stays exact by construction: a heap entry keyed at ``now``
 was pushed before the clock reached ``now``, so its ``seq`` is smaller
@@ -52,9 +43,6 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional, TYPE_CHECKING
 
-from repro.sim.calendar import AUTO_PROMOTE_THRESHOLD, CALENDAR_BACKENDS, TimingWheel
-from repro.sim.calendar import default_calendar as _default_calendar
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs uses sim.stats)
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracer import Tracer
@@ -68,8 +56,7 @@ _new_event = object.__new__
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-#: The priority field of every calendar entry.  Kept in the tuple so the
-#: heap and the wheel share one entry shape.
+#: The priority field of every calendar entry.
 NORMAL = 1
 
 #: Calendar compaction: when more than this many cancelled entries sit
@@ -183,15 +170,12 @@ class Event:
         self._value = value
         env = self.env
         env._seq += 1
-        if env._fast:
-            now = env._now
-            when = now + delay
-            if when == now:
-                env._lane.append(self)
-            else:
-                _heappush(env._calendar, (when, NORMAL, env._seq, self))
+        now = env._now
+        when = now + delay
+        if when == now:
+            env._lane.append(self)
         else:
-            env._insert_slow((env._now + delay, NORMAL, env._seq, self))
+            _heappush(env._calendar, (when, NORMAL, env._seq, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -239,12 +223,7 @@ class Event:
             # The pending count is only taken past the threshold: most
             # cancels never reach it, and each len() is a host call.
             if env._dead_entries > CALENDAR_COMPACT_THRESHOLD:
-                wheel = env._wheel
-                if wheel is None:
-                    pending = len(env._calendar) + len(env._lane)
-                else:
-                    pending = len(wheel)
-                if env._dead_entries * 2 > pending:
+                if env._dead_entries * 2 > len(env._calendar) + len(env._lane):
                     env._compact()
         return True
 
@@ -443,29 +422,17 @@ class Environment:
         initial_time: float = 0.0,
         tracer: Optional["Tracer"] = None,
         metrics: Optional["MetricsRegistry"] = None,
-        calendar: Optional[str] = None,
     ):
         # Imported here, not at module level: repro.obs depends on
         # repro.sim.stats, so a top-level import would be circular.
         from repro.obs.metrics import MetricsRegistry, installed_metrics
         from repro.obs.tracer import installed_tracer
 
-        backend = calendar if calendar is not None else _default_calendar()
-        if backend not in CALENDAR_BACKENDS:
-            raise ValueError(
-                f"unknown calendar backend {backend!r}; choose from {CALENDAR_BACKENDS}"
-            )
         self._now = float(initial_time)
         self._calendar: List = []
-        # The same-instant lane (heap backend only): items due at _now,
-        # in seq order (see the module docstring).
+        # The same-instant lane: items due at _now, in seq order (see
+        # the module docstring).
         self._lane: deque = deque()
-        self._backend = backend
-        self._wheel: Optional[TimingWheel] = TimingWheel() if backend == "wheel" else None
-        # One flag, not two: the heap fast path tests a single slot
-        # attribute per insert; wheel and auto(-promotion) inserts go
-        # through _insert_slow.
-        self._fast = backend == "heap"
         self._seq = 0
         self._active_process: Optional[Process] = None
         # Cancellation bookkeeping: totals are exposed as properties and
@@ -493,18 +460,6 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         return self._active_process
 
-    @property
-    def calendar_backend(self) -> str:
-        """The backend this environment was built with (heap/wheel/auto)."""
-        return self._backend
-
-    @property
-    def using_wheel(self) -> bool:
-        """True once events are ordered by a timing wheel (wheel, or auto
-        after promotion)."""
-        return self._wheel is not None
-
-
     # -- event factories ------------------------------------------------
     def event(self) -> Event:
         return Event(self)
@@ -529,15 +484,12 @@ class Environment:
         ev._defused = False
         ev._cancelled = False
         self._seq += 1
-        if self._fast:
-            now = self._now
-            when = now + delay
-            if when == now:
-                self._lane.append(ev)
-            else:
-                _heappush(self._calendar, (when, NORMAL, self._seq, ev))
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._lane.append(ev)
         else:
-            self._insert_slow((self._now + delay, NORMAL, self._seq, ev))
+            _heappush(self._calendar, (when, NORMAL, self._seq, ev))
         return ev
 
     def call_in(self, delay: float, fn: Callable[[], None]) -> None:
@@ -553,15 +505,12 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
         self._seq += 1
-        if self._fast:
-            now = self._now
-            when = now + delay
-            if when == now:
-                self._lane.append(fn)
-            else:
-                _heappush(self._calendar, (when, NORMAL, self._seq, fn))
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._lane.append(fn)
         else:
-            self._insert_slow((self._now + delay, NORMAL, self._seq, fn))
+            _heappush(self._calendar, (when, NORMAL, self._seq, fn))
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
@@ -574,57 +523,13 @@ class Environment:
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        # No auto-promotion check here: pending-count growth into the
-        # millions is always timeout-driven (``timeout()`` checks), and
-        # keeping this path two branches shorter matters for
-        # succeed/fail-heavy workloads.
         self._seq += 1
-        if self._fast:
-            now = self._now
-            when = now + delay
-            if when == now:
-                self._lane.append(event)
-            else:
-                _heappush(self._calendar, (when, NORMAL, self._seq, event))
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._lane.append(event)
         else:
-            self._insert_slow((self._now + delay, NORMAL, self._seq, event))
-
-    def _insert_slow(self, entry) -> None:
-        """Calendar insert for the wheel and auto backends.
-
-        ``auto`` environments stay on the heap (with this extra call
-        per insert) until the pending count crosses the promotion
-        threshold, then migrate one-way to a wheel.
-        """
-        wheel = self._wheel
-        if wheel is None:
-            _heappush(self._calendar, entry)
-            if len(self._calendar) > AUTO_PROMOTE_THRESHOLD:
-                self._promote()
-        else:
-            wheel.push(entry)
-
-    def _promote(self) -> None:
-        """One-way heap -> wheel migration (``auto`` backend only).
-
-        Live entries move to a fresh wheel, cancelled ones are dropped
-        on the way (they count as swept stale timers).  The heap list is
-        emptied *in place*: ``run()`` binds it locally, and finding it
-        empty is what makes the run loop re-check for the wheel.
-        """
-        wheel = TimingWheel()
-        calendar = self._calendar
-        dead = 0
-        push = wheel.push
-        for entry in calendar:
-            if _is_dead(entry):
-                dead += 1
-            else:
-                push(entry)
-        del calendar[:]
-        self._stale_timers += dead
-        self._dead_entries = 0
-        self._wheel = wheel
+            _heappush(self._calendar, (when, NORMAL, self._seq, event))
 
     # -- cancellation bookkeeping ---------------------------------------
     @property
@@ -642,13 +547,7 @@ class Environment:
 
         In place: ``run()`` binds the calendar list and the lane
         locally for speed, so their identities must survive compaction.
-        On the wheel backend the sweep is delegated bucket-by-bucket.
         """
-        wheel = self._wheel
-        if wheel is not None:
-            self._stale_timers += wheel.compact(_is_dead)
-            self._dead_entries = 0
-            return
         calendar = self._calendar
         live = [entry for entry in calendar if not _is_dead(entry)]
         lane = self._lane
@@ -675,18 +574,6 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next live scheduled event, or ``inf`` if none."""
-        wheel = self._wheel
-        if wheel is not None:
-            while True:
-                entry = wheel.peek()
-                if entry is None:
-                    return float("inf")
-                if _is_dead(entry):
-                    wheel.pop_due(float("inf"))
-                    self._stale_timers += 1
-                    self._dead_entries -= 1
-                    continue
-                return entry[0]
         calendar = self._calendar
         lane = self._lane
         while True:
@@ -712,16 +599,10 @@ class Environment:
         Cancelled entries encountered on the way are discarded without
         advancing the clock — they never happened.
         """
-        wheel = self._wheel
         calendar = self._calendar
         lane = self._lane
         while True:
-            if wheel is not None:
-                entry = wheel.pop_due(float("inf"))
-                if entry is None:
-                    raise SimulationError("empty calendar")
-                when, _prio, _seq, event = entry
-            elif calendar and (not lane or calendar[0][0] <= self._now):
+            if calendar and (not lane or calendar[0][0] <= self._now):
                 when, _prio, _seq, event = _heappop(calendar)
             elif lane:
                 when = self._now
@@ -759,70 +640,58 @@ class Environment:
         then the same-instant lane drains in its own inner loop, which
         never re-checks the heap (the module docstring has the
         argument), before the next heap pop moves the clock.
-
-        An ``auto`` environment may promote to the wheel mid-run (a
-        callback scheduling past the threshold empties the heap in
-        place), so the outer loop re-checks the backend whenever the
-        heap drains.
         """
         if until is not None and until < self._now:
             raise ValueError(f"until ({until}) is in the past (now={self._now})")
         event_types = _EVENT_TYPES
+        calendar = self._calendar
+        lane = self._lane
+        pop = _heappop
+        popleft = lane.popleft
         try:
             while True:
-                wheel = self._wheel
-                if wheel is not None:
-                    self._run_wheel(wheel, until)
-                    return
-                calendar = self._calendar
-                lane = self._lane
-                pop = _heappop
-                popleft = lane.popleft
-                while True:
-                    if lane and (not calendar or calendar[0][0] > self._now):
-                        # Every lane entry is due now, after every heap
-                        # entry at now, and no heap entry at now can be
-                        # pushed while it drains: no heap check per entry.
-                        while lane:
-                            event = popleft()
-                            if type(event) not in event_types:  # bare entry
-                                event()
-                                continue
-                            if event._cancelled:
-                                self._stale_timers += 1
-                                self._dead_entries -= 1
-                                continue
-                            callbacks, event.callbacks = event.callbacks, None
-                            event._processed = True
-                            for callback in callbacks:
-                                callback(event)
-                            if not event._ok and not event._defused:
-                                raise event._value
-                    if not calendar:
-                        break
-                    if until is not None and calendar[0][0] > until:
-                        self._now = until
-                        return
-                    when, _prio, _seq, event = pop(calendar)
-                    if type(event) not in event_types:  # bare entry
-                        self._now = when
-                        event()
-                        continue
-                    if event._cancelled:
-                        # Lazily discard; the clock does not advance for
-                        # a timer that was cancelled before it fired.
-                        self._stale_timers += 1
-                        self._dead_entries -= 1
-                        continue
-                    self._now = when
-                    callbacks, event.callbacks = event.callbacks, None
-                    event._processed = True
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                if self._wheel is None:
+                if lane and (not calendar or calendar[0][0] > self._now):
+                    # Every lane entry is due now, after every heap entry
+                    # at now, and no heap entry at now can be pushed
+                    # while it drains: no heap check per entry.
+                    while lane:
+                        event = popleft()
+                        if type(event) not in event_types:  # bare entry
+                            event()
+                            continue
+                        if event._cancelled:
+                            self._stale_timers += 1
+                            self._dead_entries -= 1
+                            continue
+                        callbacks, event.callbacks = event.callbacks, None
+                        event._processed = True
+                        for callback in callbacks:
+                            callback(event)
+                        if not event._ok and not event._defused:
+                            raise event._value
+                if not calendar:
                     break
+                if until is not None and calendar[0][0] > until:
+                    self._now = until
+                    return
+                when, _prio, _seq, event = pop(calendar)
+                if type(event) not in event_types:  # bare entry
+                    self._now = when
+                    event()
+                    continue
+                if event._cancelled:
+                    # Lazily discard; the clock does not advance for a
+                    # timer that was cancelled before it fired.
+                    self._stale_timers += 1
+                    self._dead_entries -= 1
+                    continue
+                self._now = when
+                callbacks, event.callbacks = event.callbacks, None
+                event._processed = True
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
             if until is not None:
                 self._now = until
         finally:
@@ -831,72 +700,3 @@ class Environment:
                 or self._stale_timers != self._stale_flushed
             ):
                 self._flush_cancel_metrics()
-
-    def _run_wheel(self, wheel: TimingWheel, until: Optional[float]) -> None:
-        """The wheel-backed run loop (same semantics as the heap loop).
-
-        Instead of a ``pop_due`` method call per event, the loop drains
-        each sorted bucket directly: the bucket list and cursor live in
-        locals, and only ``wheel._cur_pos`` is written back per event —
-        *before* callbacks run, so a callback pushing into the current
-        slot insorts at the right position.  The head entry's time is
-        checked against ``until`` whether or not it is cancelled —
-        exactly like the heap loop's ``calendar[0][0] > until`` check —
-        so a cancelled far-future entry still lets the clock settle at
-        ``until``.
-        """
-        limit = float("inf") if until is None else until
-        event_types = _EVENT_TYPES
-        while True:
-            bucket = wheel._cur_bucket
-            pos = wheel._cur_pos
-            if bucket is None or pos >= len(bucket):
-                if wheel._tick is None:
-                    wheel._calibrate()
-                if not wheel._materialize_next():
-                    break
-                continue
-            try:
-                while True:
-                    try:
-                        # The index doubles as the bounds check (free on
-                        # 3.11+ zero-cost exceptions) — a same-slot push
-                        # from a callback grows the bucket and is picked
-                        # up naturally.
-                        entry = bucket[pos]
-                    except IndexError:
-                        break
-                    if entry[0] > limit:
-                        wheel._cur_pos = pos
-                        self._now = until
-                        return
-                    # Clear the consumed slot so the entry frees as soon
-                    # as it has run, not when the whole bucket drains.
-                    bucket[pos] = None
-                    pos += 1
-                    wheel._cur_pos = pos
-                    when, _prio, _seq, event = entry
-                    if type(event) not in event_types:  # bare entry
-                        self._now = when
-                        event()
-                        continue
-                    if event._cancelled:
-                        self._stale_timers += 1
-                        self._dead_entries -= 1
-                        continue
-                    self._now = when
-                    callbacks, event.callbacks = event.callbacks, None
-                    event._processed = True
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-            finally:
-                # The count is settled per bucket, not per event;
-                # ``len(wheel)`` subtracts the cursor's advance since the
-                # last settle, so a cancel-triggered compaction check
-                # mid-bucket sees the exact pending count.
-                wheel._count -= wheel._cur_pos - wheel._synced_pos
-                wheel._synced_pos = wheel._cur_pos
-        if until is not None:
-            self._now = until

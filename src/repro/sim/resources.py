@@ -4,14 +4,10 @@
   work-queue slots, DMA channels, lock ownership, ...).
 * :class:`Store` — FIFO buffer of Python objects with optional capacity
   (models descriptor queues, rings, mailboxes).
-* :class:`PriorityStore` — like :class:`Store` but items pop in
-  priority order (models the group arbiter's WQ priority).
 """
 
 from __future__ import annotations
 
-import heapq
-from itertools import count
 from typing import Any, List, Optional, Tuple
 
 from repro.sim.engine import Environment, Event
@@ -140,58 +136,4 @@ class Store:
         if self._putters and (self.capacity is None or len(self._items) < self.capacity):
             ev, item = self._putters.pop(0)
             self._items.append(item)
-            ev.succeed()
-
-
-class PriorityStore(Store):
-    """Store whose :meth:`get` pops the lowest ``(priority, fifo)`` item.
-
-    Items are pushed via ``put((priority, item))`` — or any object; a
-    plain object gets priority 0.  Ties break FIFO.
-    """
-
-    def __init__(self, env: Environment, capacity: Optional[int] = None):
-        super().__init__(env, capacity)
-        self._heap: List[Tuple[float, int, Any]] = []
-        self._tick = count()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def items(self) -> List[Any]:
-        return [entry[2] for entry in sorted(self._heap)]
-
-    def put(self, item: Any, priority: float = 0.0) -> Event:
-        ev = Event(self.env)
-        if self._getters:
-            self._getters.pop(0).succeed(item)
-            ev.succeed()
-        elif self.capacity is None or len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, (priority, next(self._tick), item))
-            ev.succeed()
-        else:
-            self._putters.append((ev, (priority, item)))
-        return ev
-
-    def get(self) -> Event:
-        ev = Event(self.env)
-        if self._heap:
-            ev.succeed(heapq.heappop(self._heap)[2])
-            self._admit_putter()
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Tuple[bool, Any]:
-        if self._heap:
-            item = heapq.heappop(self._heap)[2]
-            self._admit_putter()
-            return True, item
-        return False, None
-
-    def _admit_putter(self) -> None:
-        if self._putters and (self.capacity is None or len(self._heap) < self.capacity):
-            ev, (priority, item) = self._putters.pop(0)
-            heapq.heappush(self._heap, (priority, next(self._tick), item))
             ev.succeed()

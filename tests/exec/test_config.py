@@ -1,7 +1,7 @@
 """RunConfig: one frozen run configuration, installed per experiment.
 
-A run's knobs (seed, histogram backend, calendar, tier, traffic, fleet,
-placement, fault injection) travel as one :class:`RunConfig`.  The
+A run's knobs (seed, tier, traffic, fleet, placement, fault injection)
+travel as one :class:`RunConfig`.  The
 runner installs it around every experiment by the same function, in
 process and in a worker, so a serial run sees exactly what it salts
 into the cache key, and injected faults depend on the run seed but not
@@ -18,8 +18,7 @@ from repro.exec import runner as runner_mod
 from repro.experiments.base import ExperimentResult
 from repro.faults import FaultPlan, active_injector, injection
 from repro.fleet.topology import active_fleet
-from repro.obs import ResultSink, default_hist_backend
-from repro.sim.calendar import default_calendar
+from repro.obs import ResultSink
 from repro.sim.rng import DEFAULT_SEED, installed_seed
 from repro.traffic.tiers import default_tier, default_traffic, set_default_tier
 
@@ -27,12 +26,11 @@ from repro.traffic.tiers import default_tier, default_traffic, set_default_tier
 def _knobs():
     fleet = active_fleet()
     return (
-        installed_seed(), default_hist_backend(), default_calendar(), default_tier(),
-        default_traffic(), fleet.n_devices, fleet.placement,
+        installed_seed(), default_tier(), default_traffic(), fleet.n_devices, fleet.placement,
     )
 
 
-DEFAULT_KNOBS = (DEFAULT_SEED, "auto", "heap", "small", "default", 1, "round-robin")
+DEFAULT_KNOBS = (DEFAULT_SEED, "small", "default", 1, "round-robin")
 
 
 @pytest.fixture
@@ -57,8 +55,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            ({"hist_backend": "hdr"}, "histogram backend"),
-            ({"calendar": "btree"}, "calendar backend"),
             ({"tier": "huge"}, "scale tier"),
             ({"traffic": "fractal"}, "traffic mode"),
             ({"fleet": "2x"}, "--fleet expects"),
@@ -86,11 +82,10 @@ class TestInstall:
 
     def test_installed_sets_every_knob_and_restores(self):
         config = RunConfig(
-            seed=7, hist_backend="streaming", calendar="wheel", tier="medium",
-            traffic="bursty", fleet="2x4", placement="numa-local",
+            seed=7, tier="medium", traffic="bursty", fleet="2x4", placement="numa-local",
         )
         with config.installed():
-            assert _knobs() == (7, "streaming", "wheel", "medium", "bursty", 8, "numa-local")
+            assert _knobs() == (7, "medium", "bursty", 8, "numa-local")
             assert RunConfig.current() == config
         assert _knobs() == DEFAULT_KNOBS
 
@@ -131,11 +126,11 @@ class TestRunnerInstallsItsConfig:
     def test_serial_runner_runs_what_it_salts(self, recorded):
         """A serial runner used to salt the cache with its knobs but run
         under the process defaults."""
-        config = RunConfig(tier="medium", calendar="wheel", fleet="2x4")
+        config = RunConfig(tier="medium", traffic="bursty", fleet="2x4")
         runner = ParallelRunner(jobs=1, config=config)
-        assert runner.config.variant == "calendar=wheel,fleet=2x4,tier=medium"
+        assert runner.config.variant == "fleet=2x4,tier=medium,traffic=bursty"
         runner.run(["fig4"])
-        assert recorded == [(DEFAULT_SEED, "auto", "wheel", "medium", "default", 8, "round-robin")]
+        assert recorded == [(DEFAULT_SEED, "medium", "bursty", 8, "round-robin")]
         assert _knobs() == DEFAULT_KNOBS
 
     def test_no_config_means_the_installed_values(self, recorded):
@@ -149,7 +144,7 @@ class TestRunnerInstallsItsConfig:
         finally:
             set_default_tier("small")
         assert runner.config == RunConfig(seed=5, tier="medium")
-        assert recorded == [(5, "auto", "heap", "medium", "default", 1, "round-robin")]
+        assert recorded == [(5, "medium", "default", 1, "round-robin")]
 
     def test_seed_kwarg_overrides_the_config_seed(self):
         runner = ParallelRunner(config=RunConfig(seed=3, tier="large"), seed=9)
@@ -197,7 +192,7 @@ class TestCli:
 
 class TestSinkRecords:
     def test_result_lines_carry_config_and_seed(self, tmp_path):
-        config = RunConfig(seed=11, calendar="wheel")
+        config = RunConfig(seed=11, placement="numa-local")
         records = {}
         for jobs in (1, 2):
             path = tmp_path / f"jobs{jobs}.jsonl"
@@ -212,7 +207,7 @@ class TestSinkRecords:
             records[jobs] = lines
         results = [r for r in records[1] if r["kind"] == "result"]
         assert [(r["exp"], r["config"], r["seed"]) for r in results] == [
-            ("fig4", "calendar=wheel", 11),
-            ("fig12", "calendar=wheel", 11),
+            ("fig4", "placement=numa-local", 11),
+            ("fig12", "placement=numa-local", 11),
         ]
         assert records[1] == records[2]

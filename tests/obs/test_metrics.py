@@ -49,8 +49,11 @@ class TestRegistry:
         for value in [5.0, 1.0, 9.0, 3.0]:
             histogram.add(value)
         snap = registry.snapshot()
+        # Count, mean and max are exact; interior percentiles carry the
+        # streaming histogram's 1% relative-error bound.
         assert snap["lat.count"] == 4.0
-        assert snap["lat.p50"] == 3.0
+        assert snap["lat.mean"] == 4.5
+        assert snap["lat.p50"] == pytest.approx(3.0, rel=0.01)
         assert snap["lat.max"] == 9.0
 
     def test_snapshot_round_trip_is_flat_and_sorted(self):

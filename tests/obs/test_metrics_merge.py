@@ -1,12 +1,12 @@
-"""Exact metrics merge: backends, export/absorb_state, --jobs 2 regression.
+"""Exact metrics merge: export/absorb_state, --jobs 2 regression.
 
 The old parallel path flattened worker histograms to per-leaf counters
 (:meth:`MetricsRegistry.absorb_flat`), so a merged ``p99`` was just the
 last worker's final value and the parent registry lost the distribution
 entirely.  These tests pin the fixed behavior: worker registries export
-invertible state, histograms merge sample-for-sample (exact backend) or
-bucket-for-bucket (streaming), and a ``--jobs 2`` run leaves the parent
-registry with *live* histograms whose percentiles match a serial run.
+invertible state, histograms merge bucket for bucket, and a
+``--jobs 2`` run leaves the parent registry with *live* histograms
+whose percentiles match a serial run.
 """
 
 import multiprocessing
@@ -17,120 +17,38 @@ import pytest
 
 from repro.exec import ParallelRunner
 from repro.experiments import registry as exp_registry
-from repro.obs import (
-    AUTO_STREAMING_THRESHOLD,
-    HistogramMetric,
-    MetricsRegistry,
-    StreamingHistogram,
-    install_metrics,
-    set_default_hist_backend,
-    uninstall_metrics,
-)
-from repro.sim.stats import Histogram as ExactHistogram
+from repro.obs import HistogramMetric, MetricsRegistry, install_metrics, uninstall_metrics
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs():
     yield
     uninstall_metrics()
-    set_default_hist_backend("auto")
-
-
-class TestHistogramBackends:
-    def test_default_is_auto_and_starts_exact(self):
-        metric = HistogramMetric("lat")
-        assert metric.backend == "exact"
-        assert isinstance(metric.samples, ExactHistogram)
-
-    def test_auto_promotes_at_threshold(self):
-        metric = HistogramMetric("lat", backend="auto")
-        for i in range(AUTO_STREAMING_THRESHOLD - 1):
-            metric.add(float(i % 97) + 1.0)
-        assert metric.backend == "exact"
-        metric.add(1.0)
-        assert metric.backend == "streaming"
-        # Nothing was lost in the promotion.
-        assert len(metric.samples) == AUTO_STREAMING_THRESHOLD
-
-    def test_exact_backend_never_promotes(self):
-        metric = HistogramMetric("lat", backend="exact")
-        for i in range(AUTO_STREAMING_THRESHOLD + 10):
-            metric.add(float(i))
-        assert metric.backend == "exact"
-
-    def test_streaming_backend_from_the_start(self):
-        metric = HistogramMetric("lat", backend="streaming")
-        assert metric.backend == "streaming"
-        assert isinstance(metric.samples, StreamingHistogram)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            HistogramMetric("lat", backend="hdr")
-        with pytest.raises(ValueError):
-            set_default_hist_backend("hdr")
-
-    def test_registry_histogram_backend_kwarg(self):
-        registry = MetricsRegistry()
-        metric = registry.histogram("lat", backend="streaming")
-        assert metric.backend == "streaming"
-        # Get-or-create ignores the kwarg on the second call.
-        assert registry.histogram("lat") is metric
-
-    def test_set_default_backend_applies_to_new_metrics(self):
-        set_default_hist_backend("streaming")
-        assert MetricsRegistry().histogram("x").backend == "streaming"
 
 
 class TestStateMerge:
-    def _registry_with(self, samples, backend="exact"):
+    def _registry_with(self, samples):
         registry = MetricsRegistry()
         registry.counter("ops").add(len(samples))
         gauge = registry.gauge("depth")
         gauge.update(0.0, 0.0)
         gauge.update(10.0, max(samples))
-        hist = registry.histogram("lat", backend=backend)
+        hist = registry.histogram("lat")
         for value in samples:
             hist.add(value)
         return registry
 
-    def test_histogram_merge_is_exact_not_last_writer_wins(self):
-        """The absorb_flat regression: merged p99 must cover both workers."""
-        worker_a = self._registry_with([500.0] * 100)
-        worker_b = self._registry_with([2.0] * 100)
-        parent = MetricsRegistry()
-        parent.absorb_state(worker_a.export_state())
-        parent.absorb_state(worker_b.export_state())
-        merged = parent.histogram("lat")
-        assert isinstance(merged, HistogramMetric)
-        assert len(merged.samples) == 200
-        combined = ExactHistogram()
-        combined.extend([500.0] * 100 + [2.0] * 100)
-        assert merged.percentile(99) == combined.percentile(99)
-        # absorb_flat would have left p99 at worker_b's 2.0.
-        assert merged.percentile(99) != worker_b.histogram("lat").percentile(99)
-        assert parent.counter("ops").value == 200.0
-
     def test_streaming_states_merge_bucketwise(self):
-        worker_a = self._registry_with([float(i) for i in range(1, 1000)], backend="streaming")
-        worker_b = self._registry_with([float(i) for i in range(1000, 2000)], backend="streaming")
+        worker_a = self._registry_with([float(i) for i in range(1, 1000)])
+        worker_b = self._registry_with([float(i) for i in range(1000, 2000)])
         parent = MetricsRegistry()
         parent.absorb_state(worker_a.export_state())
         parent.absorb_state(worker_b.export_state())
         merged = parent.histogram("lat")
-        assert merged.backend == "streaming"
         assert len(merged.samples) == 1999
+        assert parent.counter("ops").value == 1999.0
         exact_p99 = sorted(range(1, 2000))[-20]  # nearest-rank by hand
         assert merged.percentile(99) == pytest.approx(exact_p99, rel=0.01)
-
-    def test_mixed_backends_promote_to_streaming(self):
-        exact_worker = self._registry_with([1.0, 2.0, 3.0], backend="exact")
-        stream_worker = self._registry_with([4.0, 5.0], backend="streaming")
-        parent = MetricsRegistry()
-        parent.absorb_state(stream_worker.export_state())
-        parent.absorb_state(exact_worker.export_state())
-        merged = parent.histogram("lat")
-        assert merged.backend == "streaming"
-        assert len(merged.samples) == 5
 
     def test_gauge_merge_spans_and_maxima(self):
         worker_a = MetricsRegistry()
@@ -149,7 +67,7 @@ class TestStateMerge:
     def test_state_is_picklable(self):
         import pickle
 
-        state = self._registry_with([1.0, 2.0], backend="streaming").export_state()
+        state = self._registry_with([1.0, 2.0]).export_state()
         assert pickle.loads(pickle.dumps(state))["lat"][0] == "histogram"
 
     def test_absorb_flat_remains_the_lossy_fallback(self):

@@ -7,7 +7,6 @@ from repro.obs import (
     MetricsRegistry,
     RingTracer,
     publish_overhead,
-    set_default_hist_backend,
 )
 
 
@@ -45,15 +44,9 @@ class TestPublishOverhead:
         for i in range(25):
             tracer.instant(float(i), "t", "cat")
         source = MetricsRegistry()
-        set_default_hist_backend("streaming")
-        try:
-            streaming_hist = source.histogram("lat.stream")
-        finally:
-            set_default_hist_backend("auto")
-        exact_hist = source.histogram("lat.exact", backend="exact")
         for value in (1.0, 2.0, 4.0):
-            streaming_hist.add(value)
-            exact_hist.add(value)
+            source.histogram("lat.a").add(value)
+        source.histogram("lat.b").add(1.0)
 
         overhead = publish_overhead(MetricsRegistry(), tracer=tracer, source_registry=source)
         snap = overhead.snapshot()
@@ -63,9 +56,7 @@ class TestPublishOverhead:
         assert snap["obs.overhead.trace.buffered"] == 5.0
         assert snap["obs.overhead.trace.spill_bytes"] > 0
         assert snap["obs.overhead.hist.metrics"] == 2.0
-        assert snap["obs.overhead.hist.streaming_metrics"] == 1.0
-        assert snap["obs.overhead.hist.buckets"] == 3.0  # three distinct buckets
-        assert snap["obs.overhead.hist.samples"] == 3.0  # the exact metric's
+        assert snap["obs.overhead.hist.buckets"] == 4.0  # three distinct + one
 
     def test_watermark_leaf_published(self):
         with MemoryWatermark() as watermark:

@@ -172,19 +172,6 @@ def test_open_loop_keeps_one_pending_timer():
     assert max(pending_high) <= 1
 
 
-@pytest.mark.parametrize("backend", ["heap", "wheel", "auto"])
-def test_open_loop_identical_across_backends(backend):
-    env = Environment(calendar=backend)
-    hits = []
-    open_loop(env, BurstyProcess(0.05, cv2=4.0, rng=11), lambda i, t: hits.append(t), count=200)
-    env.run()
-    ref_env = Environment(calendar="heap")
-    ref = []
-    open_loop(ref_env, BurstyProcess(0.05, cv2=4.0, rng=11), lambda i, t: ref.append(t), count=200)
-    ref_env.run()
-    assert hits == ref
-
-
 # -- satellite edge cases: exact horizon, interruption, interleaving -------
 
 

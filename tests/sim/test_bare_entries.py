@@ -2,9 +2,10 @@
 
 A bare entry pushes ``(when, NORMAL, seq, fn)`` and the run loops call
 ``fn()`` when it pops.  It must pop exactly where the Timeout form —
-``env.timeout(delay).callbacks.append(...)`` — would, on every
-calendar backend, mixed with Timeouts, ``Event.succeed`` entries and
-cancellations: same callback log, same clock, same ``seq`` count.
+``env.timeout(delay).callbacks.append(...)`` — would, and where the
+plain-heap ``ReferenceEnvironment`` pops it, mixed with Timeouts,
+``Event.succeed`` entries and cancellations: same callback log, same
+clock, same ``seq`` count.
 The open-loop arrival driver, a chain of bare entries, must likewise
 match the generator process it replaced.
 """
@@ -15,11 +16,16 @@ import weakref
 
 import pytest
 
-import repro.sim.engine as engine_mod
 from repro.sim import Environment, Interrupt, SimulationError
 from repro.sim.arrivals import open_loop
+from tests.sim.reference_engine import ReferenceEnvironment
 
-BACKENDS = ["heap", "wheel", "auto"]
+#: The engine and its frozen plain-heap oracle: both must hold the
+#: calendar properties the named tests below pin.
+ENGINES = [
+    pytest.param(Environment, id="heap"),
+    pytest.param(ReferenceEnvironment, id="reference"),
+]
 
 #: A grid with repeats so many entries share an instant: ties are where
 #: a misplaced ``seq`` would show.
@@ -110,8 +116,8 @@ DOOMED_AT = 1e6
 SWEEP_AT = 5e5
 
 
-def _execute(program, backend, bare):
-    env = Environment(calendar=backend)
+def _execute(program, make_env, bare):
+    env = make_env()
     log = []
     doomed = []
     ids = iter(range(10**6))
@@ -154,15 +160,11 @@ def _execute(program, backend, bare):
     env.timeout(SWEEP_AT).callbacks.append(lambda _ev: reap())
     env.run()
     assert not any(kind == "BUG" for _n, kind, _t in log)
-    return log, env.now, env._seq, env.stale_timers, env.using_wheel
+    return log, env.now, env._seq, env.stale_timers
 
 
-@pytest.mark.parametrize("seed", range(12))
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bare_form_matches_timeout_form(monkeypatch, backend, seed):
-    if backend == "auto":
-        # Promote mid-run: the program keeps far more than 24 pending.
-        monkeypatch.setattr(engine_mod, "AUTO_PROMOTE_THRESHOLD", 24)
+@pytest.mark.parametrize("seed", range(12), ids="heap-{}".format)
+def test_bare_form_matches_timeout_form(monkeypatch, seed):
     compactions = []
     compact = Environment._compact
 
@@ -172,25 +174,23 @@ def test_bare_form_matches_timeout_form(monkeypatch, backend, seed):
 
     monkeypatch.setattr(Environment, "_compact", counting_compact)
     program = _program(seed)
-    reference = _execute(program, "heap", bare=False)
-    timeout_form = _execute(program, backend, bare=False)
+    reference = _execute(program, ReferenceEnvironment, bare=True)
+    timeout_form = _execute(program, Environment, bare=False)
     del compactions[:]
-    bare_form = _execute(program, backend, bare=True)
+    bare_form = _execute(program, Environment, bare=True)
     assert compactions  # cancel-triggered, with bare entries pending
-    assert bare_form[:4] == timeout_form[:4] == reference[:4]
+    assert bare_form == timeout_form == reference
     fired = {kind for _n, kind, _t in bare_form[0]}
     assert fired == {"hop", "timeout", "succeed", "reaper"}
     assert bare_form[3] > 0  # doomed timers were cancelled and swept
-    if backend == "auto":
-        assert bare_form[4] and timeout_form[4]  # both promoted mid-run
 
 
-# -- compaction, promotion, peek, step and run(until=) ---------------------
+# -- compaction, peek, step and run(until=) --------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cancel_compaction_keeps_bare_entries(backend):
-    env = Environment(calendar=backend)
+@pytest.mark.parametrize("make_env", ENGINES)
+def test_cancel_compaction_keeps_bare_entries(make_env):
+    env = make_env()
     fired = []
     for i in range(100):
         env.call_in(float(i % 7), lambda i=i: fired.append(i))
@@ -205,32 +205,17 @@ def test_cancel_compaction_keeps_bare_entries(backend):
     assert env.stale_timers == 200
 
 
-def test_promotion_carries_bare_entries(monkeypatch):
-    monkeypatch.setattr(engine_mod, "AUTO_PROMOTE_THRESHOLD", 32)
-    env = Environment(calendar="auto")
-    fired = []
-    doomed = [env.timeout(float(i)) for i in range(10)]
-    for timer in doomed:
-        timer.cancel()
-    for i in range(40):
-        env.call_in(float(i), lambda i=i: fired.append(i))
-    assert env.using_wheel
-    assert env.stale_timers == 10  # cancelled ones dropped on the way
-    env.run()
-    assert fired == list(range(40))
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_peek_skips_dead_head_onto_bare_entry(backend):
-    env = Environment(calendar=backend)
+@pytest.mark.parametrize("make_env", ENGINES)
+def test_peek_skips_dead_head_onto_bare_entry(make_env):
+    env = make_env()
     env.timeout(3.0).cancel()
     env.call_in(5.0, lambda: None)
     assert env.peek() == 5.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_step_runs_a_bare_head(backend):
-    env = Environment(calendar=backend)
+@pytest.mark.parametrize("make_env", ENGINES)
+def test_step_runs_a_bare_head(make_env):
+    env = make_env()
     fired = []
     env.timeout(1.0).cancel()
     env.call_in(2.0, lambda: fired.append(env.now))
@@ -241,9 +226,9 @@ def test_step_runs_a_bare_head(backend):
     assert fired == [2.0, 4.0] and env.now == 4.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_run_until_lands_on_a_bare_head(backend):
-    env = Environment(calendar=backend)
+@pytest.mark.parametrize("make_env", ENGINES)
+def test_run_until_lands_on_a_bare_head(make_env):
+    env = make_env()
     fired = []
     env.call_in(5.0, lambda: fired.append(env.now))
     env.call_in(9.0, lambda: fired.append(env.now))

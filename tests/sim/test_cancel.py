@@ -3,8 +3,10 @@
 Pins the cancellation contract documented in ``docs/PERFORMANCE.md``:
 cancelled events never run their callbacks, their calendar entries are
 discarded lazily (bulk-compacted past the threshold), the clock never
-advances because of them, and the churn is observable through the
-``sim.cancelled_events`` / ``sim.stale_timers`` counter pair.
+advances because of them — under ``peek``, ``step`` and ``run(until=)``
+alike — and the churn is observable through the
+``sim.cancelled_events`` / ``sim.stale_timers`` counter pair.  Timeout
+values ride along at the end.
 """
 
 import pytest
@@ -134,6 +136,19 @@ class TestCalendarHygiene:
         env.run()
         assert fired == [7.5, 9.0]
 
+    def test_peek_and_step_consistency(self):
+        env = Environment()
+        env.timeout(3.0)
+        doomed = env.timeout(1.0)
+        doomed.cancel()
+        assert env.peek() == 3.0  # cancelled head discarded without advancing
+        assert env.now == 0.0
+        env.step()
+        assert env.now == 3.0
+        assert env.peek() == float("inf")
+        with pytest.raises(SimulationError, match="empty calendar"):
+            env.step()
+
 
 class TestCompactionThreshold:
     """Exact boundary of the lazy-sweep trigger.
@@ -189,13 +204,11 @@ class TestCompactionThreshold:
         assert env._dead_entries == 0
         assert env.stale_timers == CALENDAR_COMPACT_THRESHOLD + 2
 
-    @pytest.mark.parametrize("backend", ["heap", "wheel"])
-    def test_in_run_cancel_sees_exact_pending_count(self, backend):
-        """A cancel from a callback mid-bucket: 100 timers at t=1, the
-        last of which cancels 70 timers at t=1000.  With the 99 popped
-        entries still counted as pending, the wheel skipped the sweep
-        the heap makes at the 65th cancel."""
-        env = Environment(calendar=backend)
+    def test_in_run_cancel_sees_exact_pending_count(self):
+        """A cancel from a callback mid-run: 100 timers at t=1, the last
+        of which cancels 70 timers at t=1000.  The 99 popped entries no
+        longer count as pending, so the 65th cancel sweeps."""
+        env = Environment()
         far = [env.timeout(1000.0) for _ in range(70)]
         near = [env.timeout(1.0) for _ in range(100)]
         near[-1].callbacks.append(lambda _ev: [timer.cancel() for timer in far])
@@ -215,6 +228,48 @@ class TestCompactionThreshold:
         env.run()
         assert fired == [100.0]
         assert env.now == 100.0
+
+
+    def test_cancel_compaction_threshold(self):
+        env = Environment()
+        live = [env.timeout(10000.0 + i) for i in range(200)]
+        doomed = [env.timeout(float(i + 1)) for i in range(CALENDAR_COMPACT_THRESHOLD + 1)]
+        # Cancel up to the threshold: entries stay parked (dead <= threshold).
+        for ev in doomed[:-1]:
+            ev.cancel()
+        assert env._dead_entries == CALENDAR_COMPACT_THRESHOLD
+        assert env.stale_timers == 0
+        # One more cancel crosses it, but dead*2 <= pending holds (200 live),
+        # so compaction still must not trigger.
+        doomed[-1].cancel()
+        assert env.stale_timers == 0
+        # Cancel live entries until cancelled entries dominate -> compacts
+        # (possibly more than once as the calendar shrinks).
+        for ev in live[:150]:
+            ev.cancel()
+        assert env.stale_timers > CALENDAR_COMPACT_THRESHOLD
+        assert env._dead_entries < CALENDAR_COMPACT_THRESHOLD
+        env.run()
+        assert env.now == 10000.0 + 199  # survivors live[150:] all fire
+
+    def test_cancel_then_advance_then_run(self):
+        env = Environment()
+        order = []
+        env.timeout(5.0, value="early").callbacks.append(lambda e: order.append(e._value))
+        doomed = env.timeout(7.0)
+        late = env.timeout(500.0, value="late")
+        late.callbacks.append(lambda e: order.append(e._value))
+        doomed.cancel()
+        env.run(until=10.0)
+        assert order == ["early"]
+        assert env.now == 10.0
+        assert env.peek() == 500.0  # the cancelled 7.0 entry never surfaces
+        env.run(until=499.0)
+        assert order == ["early"]
+        assert env.now == 499.0
+        env.run()
+        assert order == ["early", "late"]
+        assert env.now == 500.0
 
 
 class TestChurnCounters:
@@ -269,3 +324,35 @@ class TestChurnCounters:
         assert env.cancelled_events > 0
         assert registry.counter("sim.cancelled_events").value == env.cancelled_events
         assert env._calendar == []
+
+
+class TestTimeoutValues:
+    def test_each_timeout_carries_its_own_value(self):
+        env = Environment()
+        seen = []
+
+        def proc(env):
+            v = yield env.timeout(1.0, value="a")
+            seen.append(v)
+            v = yield env.timeout(1.0)
+            seen.append(v)
+
+        env.process(proc(env))
+        env.run()
+        assert seen == ["a", None]  # each timeout carries its own value
+
+    def test_condition_keeps_its_timeouts_values(self):
+        # all_of holds its source events in its value dict; their values
+        # must still be there when it fires.
+        env = Environment()
+        results = []
+
+        def proc(env):
+            t1 = env.timeout(1.0, value="x")
+            t2 = env.timeout(2.0, value="y")
+            got = yield env.all_of([t1, t2])
+            results.append(sorted(got.values()))
+
+        env.process(proc(env))
+        env.run()
+        assert results == [["x", "y"]]

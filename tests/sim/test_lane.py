@@ -1,11 +1,10 @@
 """The heap calendar's same-instant lane (``repro.sim.engine``).
 
-On the heap backend, a push whose ``when`` equals the clock goes to a
-FIFO beside the heap instead of the heap.  The ``wheel`` backend never
-uses the lane, and neither does ``auto`` below its promotion threshold
-(a plain heap), so both are oracles: every schedule must pop in the
-same order, at the same times, with the same ``seq`` count and churn
-counters, on all three backends.
+A push whose ``when`` equals the clock goes to a FIFO beside the heap
+instead of the heap.  The oracle is ``ReferenceEnvironment``
+(``tests/sim/reference_engine.py``), a frozen plain-heap calendar with
+no lane: every schedule must pop in the same order, at the same times,
+with the same ``seq`` count and churn counters, on both.
 
 The schedules mix ``call_in``, ``timeout``, ``succeed`` and ``fail`` at
 zero and positive delays, including a positive delay that rounds away
@@ -16,6 +15,7 @@ cancels of timer bursts between the runs, so the calendar compacts
 while the lane holds dead entries.
 """
 
+import random
 from itertools import count
 
 import pytest
@@ -23,8 +23,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim import Environment, SimulationError
 from repro.sim.engine import CALENDAR_COMPACT_THRESHOLD
+from tests.sim.reference_engine import ReferenceEnvironment
 
-BACKENDS = ("heap", "wheel", "auto")
+#: The engine and its frozen plain-heap oracle: both must hold the
+#: calendar properties the named tests below pin.
+ENGINES = [
+    pytest.param(Environment, id="heap"),
+    pytest.param(ReferenceEnvironment, id="reference"),
+]
 
 #: 1e-5 is a real delay at t=0 and rounds away at t=1e12 (ulp 1.2e-4):
 #: there it must join the lane like a zero delay.
@@ -41,10 +47,10 @@ class Abort(Exception):
     """An undefused failure: it propagates out of ``run()``/``step()``."""
 
 
-def execute(program, ops, backend, initial_time):
+def execute(program, ops, make_env, initial_time):
     """Run ``program`` under the outer-loop ``ops``; return the pop log
     and the counters at every outer-loop checkpoint."""
-    env = Environment(initial_time=initial_time, calendar=backend)
+    env = make_env(initial_time=initial_time)
     log = []
     counters = []
     bursts = []
@@ -84,7 +90,7 @@ def execute(program, ops, backend, initial_time):
             doomed[0].callbacks.append(lambda _ev: log.append((name, "BUG", env.now)))
         elif kind == "icancel":
             # A burst one step later, cancelled in bulk by a callback:
-            # the run loop is mid-bucket when the compaction check runs.
+            # the run loop is mid-run when the compaction check runs.
             doomed = [env.timeout(delay + 1.0) for _ in range(BURST)]
             for timer in doomed:
                 timer.callbacks.append(lambda _ev: log.append((name, "BUG", env.now)))
@@ -132,17 +138,16 @@ def execute(program, ops, backend, initial_time):
     return log, counters
 
 
-def assert_backends_agree(program, ops, initial_time=0.0):
-    """Heap (with the lane), auto (a plain heap) and the wheel agree on
+def assert_matches_reference(program, ops, initial_time=0.0):
+    """The engine (with the lane) and the plain-heap reference agree on
     the pop log, the clock, and ``seq`` and the churn counters at every
     checkpoint."""
-    heap_log, heap_counters = execute(program, ops, "heap", initial_time)
-    auto_log, auto_counters = execute(program, ops, "auto", initial_time)
-    wheel_log, wheel_counters = execute(program, ops, "wheel", initial_time)
-    assert heap_log == auto_log == wheel_log
-    assert heap_counters == auto_counters == wheel_counters
-    assert heap_counters[-1][3] == 0  # every dead entry swept exactly once
-    return heap_log, heap_counters
+    log, counters = execute(program, ops, Environment, initial_time)
+    ref_log, ref_counters = execute(program, ops, ReferenceEnvironment, initial_time)
+    assert log == ref_log
+    assert counters == ref_counters
+    assert counters[-1][3] == 0  # every dead entry swept exactly once
+    return log, counters
 
 
 # -- the differential --------------------------------------------------------
@@ -185,8 +190,41 @@ outer_ops = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(programs(), outer_ops, st.sampled_from([0.0, 1e12]))
-def test_lane_matches_wheel_and_plain_heap(program, ops, initial_time):
-    assert_backends_agree(program, ops, initial_time)
+def test_lane_matches_plain_heap_reference(program, ops, initial_time):
+    assert_matches_reference(program, ops, initial_time)
+
+
+def _run_schedule(make_env, seed, n_timers=600, n_cancel=180, n_procs=8):
+    """Run a randomized timer/cancel/process schedule; return the trace."""
+    rng = random.Random(seed)
+    env = make_env()
+    order = []
+
+    timers = []
+    for i in range(n_timers):
+        delay = rng.choice([0.0, rng.uniform(0.0, 50.0), rng.uniform(0.0, 5000.0)])
+        ev = env.timeout(delay, value=i)
+        ev.callbacks.append(lambda e: order.append(("t", e._value, env.now)))
+        timers.append(ev)
+    for ev in rng.sample(timers, n_cancel):
+        ev.cancel()
+
+    def proc(pid, hops):
+        for h in range(hops):
+            yield env.timeout(rng.uniform(0.0, 100.0))
+            order.append(("p", pid, h, env.now))
+
+    # Hop counts are drawn before the run; the in-run delay draws depend
+    # on the pop order, which is exactly what must match.
+    for pid in range(n_procs):
+        env.process(proc(pid, rng.randint(1, 12)))
+    env.run()
+    return order, env.now, env._seq, env.stale_timers, env.cancelled_events
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_randomized_schedule_matches_reference(seed):
+    assert _run_schedule(Environment, seed) == _run_schedule(ReferenceEnvironment, seed)
 
 
 # -- named schedules: one per way to get the lane wrong ----------------------
@@ -197,7 +235,7 @@ def test_rounded_delay_joins_the_lane():
     # between the zero-delay entries pushed around it.  Routed on
     # ``delay == 0`` it would sit in the heap at now and pop first.
     program = [("call", 0.0, (("call", 0.0, ()), ("call", TINY, ()), ("call", 0.0, ())))]
-    log, _ = assert_backends_agree(program, [], initial_time=1e12)
+    log, _ = assert_matches_reference(program, [], initial_time=1e12)
     assert [entry[0] for entry in log[:4]] == [0, 1, 2, 3]
     assert {entry[2] for entry in log[:4]} == {1e12}
 
@@ -207,7 +245,7 @@ def test_heap_entries_due_now_precede_the_lane():
     # zero-delay child (2) is pushed at 1.0, after the second root, so
     # it pops last.
     program = [("timeout", 1.0, (("call", 0.0, ()),)), ("call", 1.0, ())]
-    log, _ = assert_backends_agree(program, [])
+    log, _ = assert_matches_reference(program, [])
     assert [entry[0] for entry in log[:3]] == [0, 1, 2]
 
 
@@ -218,18 +256,18 @@ def test_compaction_sweeps_dead_lane_entries():
     # crosses the threshold.
     program = [("burst", 0.0, (("call", 0.0, ()),)), ("call", 3.0, ())]
     ops = [("step", None), ("cancel", None), ("peek", None), ("step", None)]
-    log, counters = assert_backends_agree(program, ops)
+    log, counters = assert_matches_reference(program, ops)
     swept = CALENDAR_COMPACT_THRESHOLD + 1
     assert counters[1][2:] == (swept, BURST - 1 - swept)  # stale, still dead
     assert ("peek", 0.0) in log
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_peek_reads_heap_entries_due_now_before_the_lane(backend):
+@pytest.mark.parametrize("make_env", ENGINES)
+def test_peek_reads_heap_entries_due_now_before_the_lane(make_env):
     # After step(), a live heap entry is due now and a cancelled timer
     # sits in the lane behind it: peek() stops at the live one and
-    # leaves the dead one for later, like the wheel's total order.
-    env = Environment(calendar=backend)
+    # leaves the dead one for later, like the (when, seq) total order.
+    env = make_env()
     env.timeout(1.0).callbacks.append(lambda _ev: env.timeout(0.0).cancel())
     env.timeout(1.0)
     env.step()
@@ -239,9 +277,9 @@ def test_peek_reads_heap_entries_due_now_before_the_lane(backend):
     assert env.stale_timers == 1 and env._dead_entries == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cancelled_zero_delay_timer_never_fires(backend):
-    env = Environment(calendar=backend)
+@pytest.mark.parametrize("make_env", ENGINES)
+def test_cancelled_zero_delay_timer_never_fires(make_env):
+    env = make_env()
     fired = []
     timer = env.timeout(0.0)
     timer.callbacks.append(lambda _ev: fired.append("timer"))
@@ -253,9 +291,9 @@ def test_cancelled_zero_delay_timer_never_fires(backend):
     assert env.stale_timers == 1 and env._dead_entries == 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_step_drains_the_lane_before_moving_the_clock(backend):
-    env = Environment(calendar=backend)
+@pytest.mark.parametrize("make_env", ENGINES)
+def test_step_drains_the_lane_before_moving_the_clock(make_env):
+    env = make_env()
     fired = []
     env.call_in(1.0, lambda: (fired.append(("a", env.now)), env.call_in(0.0, later)))
     env.call_in(1.0, lambda: fired.append(("b", env.now)))
@@ -272,7 +310,7 @@ def test_step_drains_the_lane_before_moving_the_clock(backend):
 
 
 def test_zero_delay_entries_skip_the_heap():
-    env = Environment(calendar="heap")
+    env = Environment()
     env.call_in(0.0, lambda: None)
     env.timeout(0.0)
     env.event().succeed()

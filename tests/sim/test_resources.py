@@ -1,8 +1,8 @@
-"""Unit tests for Resource / Store / PriorityStore."""
+"""Unit tests for Resource / Store."""
 
 import pytest
 
-from repro.sim import Environment, PriorityStore, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 def run(env):
@@ -194,59 +194,3 @@ class TestStore:
         env = Environment()
         with pytest.raises(ValueError):
             Store(env, capacity=0)
-
-
-class TestPriorityStore:
-    def test_pops_lowest_priority_first(self):
-        env = Environment()
-        store = PriorityStore(env)
-        store.put("low", priority=10)
-        store.put("high", priority=1)
-        store.put("mid", priority=5)
-        out = []
-
-        def consumer(env):
-            for _ in range(3):
-                out.append((yield store.get()))
-
-        env.process(consumer(env))
-        run(env)
-        assert out == ["high", "mid", "low"]
-
-    def test_ties_break_fifo(self):
-        env = Environment()
-        store = PriorityStore(env)
-        for tag in ("a", "b", "c"):
-            store.put(tag, priority=1)
-        out = []
-
-        def consumer(env):
-            for _ in range(3):
-                out.append((yield store.get()))
-
-        env.process(consumer(env))
-        run(env)
-        assert out == ["a", "b", "c"]
-
-    def test_direct_handoff_to_waiting_getter(self):
-        env = Environment()
-        store = PriorityStore(env)
-        got = []
-
-        def consumer(env):
-            got.append((yield store.get()))
-
-        env.process(consumer(env))
-        env.run()
-        store.put("direct", priority=99)
-        env.run()
-        assert got == ["direct"]
-
-    def test_try_get(self):
-        env = Environment()
-        store = PriorityStore(env)
-        store.put("only", priority=3)
-        ok, item = store.try_get()
-        assert ok and item == "only"
-        ok, _ = store.try_get()
-        assert not ok

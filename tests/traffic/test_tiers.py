@@ -65,7 +65,7 @@ def test_default_tier_and_traffic_keep_historical_keys():
     # Defaults are dropped from the salt so pre-traffic cache entries
     # stay addressable.
     assert variant_string(tier="small", traffic="default") == ""
-    assert variant_string(tier="small", traffic="default", hist="auto") == ""
+    assert variant_string(tier="small", traffic="default", fleet="1x1") == ""
 
 
 def test_nondefault_tier_and_traffic_salt_the_key():
