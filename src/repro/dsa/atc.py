@@ -15,9 +15,10 @@ pages at a time (:class:`~repro.mem.runlru.RunLru`).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional, Tuple, TYPE_CHECKING
 
-from repro.faults.inject import active_injector
+from repro.faults import inject
 from repro.mem.iommu import Iommu
 from repro.mem.runlru import RunLru
 
@@ -78,7 +79,7 @@ class DeviceAtc:
         mapping is not created and nothing is cached, so software can
         touch the page and resubmit the remainder.
         """
-        injector = active_injector()
+        injector = inject.active
         if injector is not None and injector.shootdown_due():
             self.flush()
             self._count("shootdowns")
@@ -131,7 +132,7 @@ class DeviceAtc:
         """
         if size <= 0:
             return 0.0, 0
-        walk = self._walk if active_injector() is None else self._walk_exact
+        walk = self._walk if inject.active is None else self._walk_exact
         critical, faults, _fault_va = walk(pasid, va, size, True)
         return critical, faults
 
@@ -151,7 +152,7 @@ class DeviceAtc:
         """
         if size <= 0:
             return 0.0, 0, None
-        walk = self._walk if active_injector() is None else self._walk_exact
+        walk = self._walk if inject.active is None else self._walk_exact
         return walk(pasid, va, size, False)
 
     def _walk(
@@ -163,9 +164,11 @@ class DeviceAtc:
         one segment at a time, first page included:
 
         * a stretch of ATC hits becomes the MRU stretch in one step;
-        * a stretch of ATC misses on mapped pages goes through the
-          IOTLB the same way (:meth:`Tlb.fill_range`) and is inserted
-          into the ATC as one MRU stretch;
+        * a stretch of ATC misses on mapped pages (one bisection of the
+          page table's mapped extents, exact because a table never
+          unmaps) goes through the IOTLB the same way
+          (:meth:`Tlb.fill_range`, which also says whether the first
+          page hit) and is inserted into the ATC as one MRU stretch;
         * an unmapped page is a real fault and takes the exact
           :meth:`translate`: it stalls the engine for its full service
           time (BOF=1) or ends the walk at ``fault_va`` (BOF=0, nothing
@@ -178,7 +181,7 @@ class DeviceAtc:
         :meth:`translate` loop leaves them: an insert may evict a later
         page of the range, which then misses in turn.
         """
-        iotlb, mapping, page, miss_latency = self.iommu.walk_states[pasid]
+        iotlb, starts, ends, page, miss_latency = self.iommu.walk_states[pasid]
         cache = self._cache
         vpn = va // page
         end = (va + size - 1) // page + 1
@@ -193,17 +196,19 @@ class DeviceAtc:
                 hits += stop - vpn
                 vpn = stop
                 continue
-            mapped = stop
-            if not all(map(mapping.__contains__, range(vpn, stop))):
-                mapped = vpn
-                while mapped in mapping:
-                    mapped += 1
+            # The stretch's mapped prefix ends where the table's extent
+            # holding ``vpn`` ends; none holds it if that is <= vpn.
+            i = bisect_right(starts, vpn)
+            mapped = ends[i - 1] if i else vpn
+            if mapped > stop:
+                mapped = stop
             if mapped > vpn:
+                iotlb_hits, iotlb_first = iotlb.fill_range(vpn, mapped)
                 if critical is None:
                     critical = self.hit_latency + (
-                        self._iotlb_hit_latency if iotlb.holds(vpn) else miss_latency
+                        self._iotlb_hit_latency if iotlb_first else miss_latency
                     )
-                iotlb_misses += mapped - vpn - iotlb.fill_range(vpn, mapped)
+                iotlb_misses += mapped - vpn - iotlb_hits
                 cache.insert(pasid, vpn, mapped)
                 misses += mapped - vpn
                 vpn = mapped

@@ -27,7 +27,7 @@ from repro.dsa.descriptor import BatchDescriptor, WorkDescriptor
 from repro.dsa.errors import StatusCode
 from repro.dsa.opcodes import DescriptorFlags, Opcode, RESUMABLE_OPCODES
 from repro.dsa import ops as functional
-from repro.faults.inject import active_injector
+from repro.faults import inject
 from repro.mem.address import AddressSpace, Buffer
 from repro.mem.system import SAME_NODE_TURNAROUND_NS, TierKind
 from repro.sim.engine import Environment, Event
@@ -157,6 +157,9 @@ class ProcessingEngine:
         #: (source node, in LLC) -> unloaded read latency from this
         #: device's socket.
         self._read_latencies: Dict[Tuple[int, bool], float] = {}
+        #: Operand nodes, in operand order -> the other sockets they
+        #: live on, sorted (fleet platforms only; see _DataPhase.start).
+        self._remote_homes: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         # Serial-stage state: the descriptor the arbiter handed over,
         # the work descriptor in setup, and a batch's remaining members
         # and admitted data phases' exit events.
@@ -185,7 +188,7 @@ class ProcessingEngine:
             # dispatch (its WQ drain raced this arbiter pop).
             self._abort_reset(descriptor, counter="disable_aborts")
             return
-        injector = active_injector()
+        injector = inject.active
         if injector is not None and injector.device_reset(self.env._now):
             self._abort_reset(descriptor)
         elif isinstance(descriptor, BatchDescriptor):
@@ -535,12 +538,15 @@ class _DataPhase:
             operands = self.operands = demand.reads + demand.writes
             memsys = device.memsys
             if memsys.model_ats_contention and memsys.topology.sockets > 1:
-                homes = {
-                    memsys.topology.socket_of(buffer.node)
-                    for buffer, _va, _nbytes in operands
-                }
-                homes.discard(device.socket)
-                self.remote_homes = tuple(sorted(homes))
+                key = ()
+                for buffer, _va, _nbytes in operands:
+                    key += (buffer.node,)
+                remote_homes = pe._remote_homes.get(key)
+                if remote_homes is None:
+                    homes = {memsys.topology.socket_of(node) for node in key}
+                    homes.discard(device.socket)
+                    remote_homes = pe._remote_homes[key] = tuple(sorted(homes))
+                self.remote_homes = remote_homes
             remote_homes = self.remote_homes
             ats_ns = (
                 memsys.ats_acquire(device.socket, remote_homes) if remote_homes else 0.0

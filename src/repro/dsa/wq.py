@@ -28,12 +28,13 @@ re-derived by every submitter.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Union
+from typing import Callable, Deque, Dict, Optional, Union
 
 from repro.dsa.config import WqConfig, WqMode
 from repro.dsa.descriptor import BatchDescriptor, WorkDescriptor
 from repro.dsa.errors import SubmissionError
-from repro.faults.inject import active_injector
+from repro.faults import inject
+from repro.obs.metrics import Counter
 from repro.sim.engine import Environment
 
 Descriptor = Union[WorkDescriptor, BatchDescriptor]
@@ -53,6 +54,10 @@ class WorkQueue:
         "_m_occupancy",
         "_m_enqueued",
         "_m_rejected",
+        "_m_injected_rejects",
+        "_m_retries",
+        "_m_source_rejected",
+        "_m_source_retries",
     )
 
     def __init__(self, env: Environment, config: WqConfig, owner: str = "dsa"):
@@ -71,6 +76,13 @@ class WorkQueue:
         self._m_occupancy = metrics.gauge(f"{self.name}.occupancy")
         self._m_enqueued = metrics.counter(f"{self.name}.enqueued")
         self._m_rejected = metrics.counter(f"{self.name}.rejected")
+        # Made on their first event, so a queue that never sees one
+        # publishes no such name.
+        self._m_injected_rejects: Optional[Counter] = None
+        self._m_retries: Optional[Counter] = None
+        #: Source tag -> its ``.rejected`` / ``.enqcmd_retries`` counter.
+        self._m_source_rejected: Dict[str, Counter] = {}
+        self._m_source_retries: Dict[str, Counter] = {}
 
     @property
     def wq_id(self) -> int:
@@ -108,22 +120,24 @@ class WorkQueue:
         queue; ``None`` keeps the aggregate-only accounting.
         """
         if self.config.mode is WqMode.SHARED:
-            injector = active_injector()
+            injector = inject.active
             if injector is not None and injector.swq_reject():
                 # Injected congestion: bounce the ENQCMD as if full.
                 self.rejected += 1
                 self._m_rejected.add()
-                self.env.metrics.counter(f"{self.name}.injected_rejects").add()
+                if self._m_injected_rejects is None:
+                    self._m_injected_rejects = self.env.metrics.counter(
+                        f"{self.name}.injected_rejects"
+                    )
+                self._m_injected_rejects.add()
                 if source is not None:
-                    self.env.metrics.counter(
-                        f"{self.name}.source.{source}.rejected"
-                    ).add()
+                    self._source_counter(self._m_source_rejected, source, "rejected").add()
                 return False
         if len(self._items) >= self.config.size:
             self.rejected += 1
             self._m_rejected.add()
             if source is not None:
-                self.env.metrics.counter(f"{self.name}.source.{source}.rejected").add()
+                self._source_counter(self._m_source_rejected, source, "rejected").add()
             if self.config.mode is WqMode.DEDICATED:
                 raise SubmissionError(
                     f"MOVDIR64B to full DWQ {self.wq_id} "
@@ -161,10 +175,22 @@ class WorkQueue:
         """
         if retries <= 0:
             return
-        metrics = self.env.metrics
-        metrics.counter(f"{self.name}.enqcmd_retries").add(retries)
+        if self._m_retries is None:
+            self._m_retries = self.env.metrics.counter(f"{self.name}.enqcmd_retries")
+        self._m_retries.add(retries)
         if source is not None:
-            metrics.counter(f"{self.name}.source.{source}.enqcmd_retries").add(retries)
+            self._source_counter(self._m_source_retries, source, "enqcmd_retries").add(
+                retries
+            )
+
+    def _source_counter(self, counters: Dict[str, Counter], source: str, leaf: str) -> Counter:
+        """The ``source.<source>.<leaf>`` counter, made on first use."""
+        counter = counters.get(source)
+        if counter is None:
+            counter = counters[source] = self.env.metrics.counter(
+                f"{self.name}.source.{source}.{leaf}"
+            )
+        return counter
 
     def pop(self) -> Descriptor:
         """Remove and return the head descriptor (arbiter only)."""

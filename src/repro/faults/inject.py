@@ -2,9 +2,9 @@
 
 A :class:`FaultInjector` turns a :class:`~repro.faults.plan.FaultPlan`
 into per-site decisions.  Model components (the device ATC, shared work
-queues, the processing engine) consult :func:`active_injector` on their
-hot paths; when nothing is installed — or the installed plan injects
-nothing — that call returns ``None`` and the component takes its normal
+queues, the processing engine) read the module attribute :data:`active`
+on their hot paths; when nothing is installed — or the installed plan
+injects nothing — it is ``None`` and the component takes its normal
 path, so a disabled injector is byte-identical to no injector at all.
 
 Determinism: all stochastic draws come from child streams of
@@ -128,6 +128,18 @@ class FaultInjector:
 #: Session-wide injector; see :func:`install_injector`.
 _installed: Optional[FaultInjector] = None
 
+#: What :func:`active_injector` returns, precomputed so a hot path pays
+#: an attribute read, not a call.  Every change to ``_installed`` goes
+#: through :func:`_set_installed`; a plan is frozen, so whether it
+#: injects anything cannot change while it is installed.
+active: Optional[FaultInjector] = None
+
+
+def _set_installed(injector: Optional[FaultInjector]) -> None:
+    global _installed, active
+    _installed = injector
+    active = injector if injector is not None and injector.plan.injects_anything else None
+
 
 def install_injector(plan_or_injector) -> FaultInjector:
     """Make a fault injector active for every subsequent model run.
@@ -138,7 +150,6 @@ def install_injector(plan_or_injector) -> FaultInjector:
     builds a fresh injector per experiment, so serial and ``--jobs N``
     runs inject identically.
     """
-    global _installed
     if isinstance(plan_or_injector, FaultInjector):
         injector = plan_or_injector
     elif isinstance(plan_or_injector, FaultPlan):
@@ -148,13 +159,12 @@ def install_injector(plan_or_injector) -> FaultInjector:
             "install_injector takes a FaultPlan or FaultInjector, got "
             f"{type(plan_or_injector).__name__}"
         )
-    _installed = injector
+    _set_installed(injector)
     return injector
 
 
 def uninstall_injector() -> None:
-    global _installed
-    _installed = None
+    _set_installed(None)
 
 
 def active_injector() -> Optional[FaultInjector]:
@@ -162,19 +172,17 @@ def active_injector() -> Optional[FaultInjector]:
 
     Returns ``None`` both when nothing is installed and when the
     installed plan injects nothing, so call sites need a single check.
+    Hot paths read the same value as the attribute :data:`active`.
     """
-    if _installed is None or not _installed.plan.injects_anything:
-        return None
-    return _installed
+    return active
 
 
 @contextlib.contextmanager
 def injection(plan_or_injector) -> Iterator[FaultInjector]:
     """Scoped install: restores whatever was active before on exit."""
-    global _installed
     previous = _installed
     injector = install_injector(plan_or_injector)
     try:
         yield injector
     finally:
-        _installed = previous
+        _set_installed(previous)

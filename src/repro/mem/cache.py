@@ -93,7 +93,8 @@ class SharedLLC:
             return 0.0
         self._evict_for(region, capacity, inserted, now)
         region[agent] = region.get(agent, 0.0) + inserted
-        self._record(agent, now)
+        if self._history is not None:
+            self._record(agent, now)
         return inserted
 
     def shrink(self, agent: str, nbytes: float, io: bool = False, now: float = 0.0) -> None:
@@ -139,9 +140,12 @@ class SharedLLC:
         if overflow <= 0:
             return
         scale = max(0.0, (resident - overflow) / resident) if resident else 0.0
-        for victim in list(region):
+        # Only values change, so the dict can be walked in place.
+        for victim in region:
             region[victim] *= scale
-            self._record(victim, now)
+        if self._history is not None:
+            for victim in region:
+                self._record(victim, now)
 
     # -- leaky-DMA pressure tracking ---------------------------------------
     def register_io_stream(self, agent: str, footprint: float, demand_rate: float = 0.0) -> None:

@@ -11,7 +11,7 @@ model provides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.mem.pagetable import PageTable
 from repro.mem.tlb import Tlb
@@ -36,9 +36,11 @@ class Iommu:
         self.params = params
         self._tables: Dict[int, PageTable] = {}
         self._iotlbs: Dict[int, Tlb] = {}
-        #: Per-PASID ``(iotlb, mapping, page_size, miss_latency)`` for
-        #: range walkers; see :meth:`attach`.
-        self.walk_states: Dict[int, Tuple[Tlb, Dict[int, int], int, float]] = {}
+        #: Per-PASID ``(iotlb, extent_starts, extent_ends, page_size,
+        #: miss_latency)`` for range walkers; see :meth:`attach`.
+        self.walk_states: Dict[
+            int, Tuple[Tlb, List[int], List[int], int, float]
+        ] = {}
         self.translations = 0
         self.page_faults = 0
         self._m_translations = None
@@ -65,12 +67,20 @@ class Iommu:
         # A range walker may do inline what translate() does for a page
         # that hits the IOTLB or is already mapped (refresh or fill the
         # IOTLB), and nothing else: an unmapped page is a fault and
-        # goes through translate().  It reports its lookups through
-        # count_walk().  ``miss_latency`` is what translate() charges
-        # for an IOTLB miss on a mapped page, summed in the same order.
+        # goes through translate().  It finds the mapped pages in the
+        # table's extent lists, which the table updates in place, and
+        # reports its lookups through count_walk().  ``miss_latency``
+        # is what translate() charges for an IOTLB miss on a mapped
+        # page, summed in the same order.
         params = self.params
         miss_latency = params.iotlb_hit_latency + params.walk_overhead + table.walk_latency
-        self.walk_states[pasid] = (iotlb, table._mapping, table.page_size, miss_latency)
+        self.walk_states[pasid] = (
+            iotlb,
+            table._starts,
+            table._ends,
+            table.page_size,
+            miss_latency,
+        )
 
     def detach(self, pasid: int) -> None:
         self._tables.pop(pasid, None)

@@ -123,23 +123,29 @@ class RunLru:
         self._refresh(runs[i], i, vpn, vpn + 1, starts, runs)
         return True
 
-    def fill(self, ns, vpn: int, end: int) -> int:
-        """Touch every page of ``[vpn, end)`` in order; return the hits.
+    def fill(self, ns, vpn: int, end: int) -> Tuple[int, bool]:
+        """Touch every page of ``[vpn, end)`` in order.
 
-        A cached page becomes MRU and an uncached one is inserted,
-        evicting the LRU page when full, exactly as a per-page loop
-        would.  An insert may evict a later page of the range, which
-        then misses in turn.
+        Returns ``(hits, first_cached)``: the pages that were cached,
+        and whether page ``vpn`` was (what :meth:`holds` read just
+        before).  A cached page becomes MRU and an uncached one is
+        inserted, evicting the LRU page when full, exactly as a
+        per-page loop would.  An insert may evict a later page of the
+        range, which then misses in turn.
         """
         hits = 0
+        first = vpn
+        first_cached = False
         while vpn < end:
             stop, cached = self.access(ns, vpn, end)
             if cached:
                 hits += stop - vpn
+                if vpn == first:
+                    first_cached = True
             else:
                 self.insert(ns, vpn, stop)
             vpn = stop
-        return hits
+        return hits, first_cached
 
     def insert(self, ns, vpn: int, end: int) -> None:
         """Add the uncached pages ``[vpn, end)`` as the MRU stretch.

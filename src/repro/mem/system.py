@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.mem.cache import SharedLLC
 from repro.mem.cxl import CxlMemoryParams
@@ -21,6 +21,9 @@ from repro.mem.iommu import Iommu
 from repro.mem.link import FairShareLink
 from repro.mem.numa import NumaTopology, UpiParams
 from repro.sim.engine import Environment, Event
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.metrics import Counter
 
 
 class TierKind(enum.Enum):
@@ -113,6 +116,9 @@ class MemorySystem:
         #: and legacy multi-device setups keep their exact timings.
         self.model_ats_contention = False
         self._ats_inflight: Dict[int, int] = {}
+        #: Home socket -> its ``remote_translations`` counter, made on
+        #: the socket's first remote translation.
+        self._ats_counters: Dict[int, "Counter"] = {}
 
     # -- construction -------------------------------------------------------
     def add_dram_node(self, node_id: int, socket: int, params: DramParams) -> MemoryNode:
@@ -247,13 +253,18 @@ class MemorySystem:
         if not self.model_ats_contention:
             return 0.0
         extra = 0.0
-        metrics = self.env.metrics
+        counters = self._ats_counters
         for home in home_sockets:
             pending = self._ats_inflight.get(home, 0)
             cost = 2.0 * self.topology.upi.hop_latency + ATS_SERIALIZE_NS * pending
             extra = max(extra, cost)
             self._ats_inflight[home] = pending + 1
-            metrics.counter(f"mem.iommu.socket{home}.remote_translations").add()
+            counter = counters.get(home)
+            if counter is None:
+                counter = counters[home] = self.env.metrics.counter(
+                    f"mem.iommu.socket{home}.remote_translations"
+                )
+            counter.add()
         return extra
 
     def ats_release(self, home_sockets) -> None:

@@ -8,6 +8,8 @@ in one step.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.mem.runlru import RunLru
 
 
@@ -43,22 +45,19 @@ class Tlb:
         if not self._cache.touch(0, vpn):
             self._cache.insert(0, vpn, vpn + 1)
 
-    def holds(self, vpn: int) -> bool:
-        """True if page ``vpn`` is cached; nothing is counted or moved."""
-        return self._cache.holds(0, vpn)
+    def fill_range(self, vpn: int, end: int) -> Tuple[int, bool]:
+        """Look up and fill pages ``[vpn, end)`` in order.
 
-    def fill_range(self, vpn: int, end: int) -> int:
-        """Look up and fill pages ``[vpn, end)`` in order; return the hits.
-
-        Each page counts as one :meth:`lookup` and, on a miss, one
-        :meth:`fill`, so the counters and LRU order end up as a
-        per-page loop leaves them.  The caller vouches that every page
-        is mapped.
+        Returns ``(hits, first_hit)``: the pages that hit, and whether
+        page ``vpn`` did.  Each page counts as one :meth:`lookup` and,
+        on a miss, one :meth:`fill`, so the counters and LRU order end
+        up as a per-page loop leaves them.  The caller vouches that
+        every page is mapped.
         """
-        hits = self._cache.fill(0, vpn, end)
+        hits, first_hit = self._cache.fill(0, vpn, end)
         self.hits += hits
         self.misses += end - vpn - hits
-        return hits
+        return hits, first_hit
 
     def invalidate_all(self) -> None:
         self._cache.clear()

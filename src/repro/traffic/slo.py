@@ -6,9 +6,9 @@ windows — at a scale (~2M requests, thousands of tenants) where keeping
 raw samples is exactly the unbounded accumulation the observability
 stack was built to avoid.  So every latency lands in a per-tenant
 :class:`~repro.obs.streaming.StreamingHistogram` (≤1% relative
-percentile error, O(buckets) memory) plus a per-window histogram that
-is *replaced* each window — total footprint O(tenants × buckets),
-independent of request count.
+percentile error, O(buckets) memory) plus, for a tenant with an SLO,
+a per-window histogram that is *replaced* each window — total
+footprint O(tenants × buckets), independent of request count.
 
 Window semantics: time is cut into fixed ``window_ns`` windows per
 tenant.  A window is **evaluated** only if the tenant offered or
@@ -71,7 +71,11 @@ class TenantAccount:
         self.retries = 0
         self.bytes_completed = 0
         self.window_start = 0.0
-        self.window_hist = StreamingHistogram()
+        #: The current window's latencies; kept only for a tenant with
+        #: an SLO, the one reader (:meth:`SloAccountant._violates`).
+        self.window_hist: Optional[StreamingHistogram] = (
+            None if spec.slo is None else StreamingHistogram()
+        )
         self.window_offered = 0
         self.window_completed = 0
         self.windows = 0
@@ -147,7 +151,8 @@ class SloAccountant:
         account.bytes_completed += nbytes
         account.window_completed += 1
         account.hist.add(latency_ns)
-        account.window_hist.add(latency_ns)
+        if account.window_hist is not None:
+            account.window_hist.add(latency_ns)
         if account.shadow_samples is not None:
             account.shadow_samples.append(latency_ns)
 
@@ -189,7 +194,8 @@ class SloAccountant:
                     p99_ns=None if p99 is None else round(p99, 1),
                     violated=True,
                 )
-        account.window_hist = StreamingHistogram()
+        if account.window_hist is not None:
+            account.window_hist = StreamingHistogram()
         account.window_offered = 0
         account.window_completed = 0
 

@@ -74,6 +74,26 @@ class TestWorkQueue:
         with pytest.raises(RuntimeError):
             wq.pop()
 
+    def test_source_counters_appear_on_first_event_only(self):
+        env = Environment()
+        wq = WorkQueue(env, WqConfig(0, size=1, mode=WqMode.SHARED))
+        assert wq.submit(make_desc(), source="t0")
+        wq.record_retries(0, source="t0")
+        names = set(dict(env.metrics))
+        assert not any(".source." in name or "enqcmd_retries" in name for name in names)
+        for _ in range(3):
+            assert not wq.submit(make_desc(), source="t1")
+        wq.record_retries(2, source="t1")
+        wq.record_retries(5, source="t1")
+        wq.record_retries(1)
+        snap = env.metrics.snapshot()
+        assert snap["dsa.wq0.source.t1.rejected"] == 3
+        assert snap["dsa.wq0.source.t1.enqcmd_retries"] == 7
+        assert snap["dsa.wq0.enqcmd_retries"] == 8
+        assert snap["dsa.wq0.rejected"] == 3
+        assert "dsa.wq0.source.t0.rejected" not in snap
+        assert "dsa.wq0.source.t0.enqcmd_retries" not in snap
+
     def test_enqueue_hook_fires(self):
         env = Environment()
         wq = WorkQueue(env, WqConfig(0, size=4))

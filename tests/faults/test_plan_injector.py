@@ -11,6 +11,7 @@ from repro.faults import (
     install_injector,
     uninstall_injector,
 )
+from repro.faults import inject
 from repro.sim.rng import install_seed, uninstall_seed
 
 PAGE = 4096
@@ -163,3 +164,21 @@ class TestInstallPattern:
         with injection(FaultPlan(page_fault_rate=1.0)) as inner:
             assert active_injector() is inner
         assert active_injector() is outer
+
+    def test_hot_path_attribute_tracks_every_install(self):
+        """``inject.active``, which hot paths read instead of calling
+        ``active_injector()``, follows install, uninstall and the exit
+        of ``injection()``, also for a plan that injects nothing."""
+        assert inject.active is None
+        outer = install_injector(FaultPlan(page_fault_rate=0.5))
+        assert inject.active is outer
+        with injection(FaultPlan()):
+            assert inject.active is None
+        assert inject.active is outer
+        with pytest.raises(RuntimeError):
+            with injection(FaultPlan(atc_shootdown_every=3)) as inner:
+                assert inject.active is inner
+                raise RuntimeError("model error")
+        assert inject.active is outer
+        uninstall_injector()
+        assert inject.active is None

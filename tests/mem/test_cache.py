@@ -188,3 +188,30 @@ class TestHistory:
         points = llc.history("a")
         assert [t for t, _ in points] == [1.0, 2.0]
         assert points[-1][1] == 2 * MB
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("a", "b", "c", "d")),
+                st.floats(0, 40 * MB),
+                st.booleans(),
+                st.one_of(st.none(), st.floats(0, 60 * MB)),
+            ),
+            max_size=40,
+        )
+    )
+    def test_history_does_not_change_occupancy(self, touches):
+        """Eviction records history only when it is on; either way the
+        occupancies come out bit-identical."""
+        quiet, recorded = make_llc(), make_llc()
+        recorded.enable_history()
+        for now, (agent, nbytes, io, cap) in enumerate(touches):
+            assert quiet.touch(agent, nbytes, cap, io, float(now)) == recorded.touch(
+                agent, nbytes, cap, io, float(now)
+            )
+            assert quiet._main == recorded._main
+            assert quiet._io == recorded._io
+        for agent in ("a", "b", "c", "d"):
+            points = recorded.history(agent)
+            if points:
+                assert points[-1][1] == quiet.occupancy(agent)

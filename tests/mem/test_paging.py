@@ -1,5 +1,7 @@
 """Unit tests for page tables, TLB, and IOMMU translation."""
 
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -75,11 +77,12 @@ class TestPageTable:
             table.translate(address)
             reference.translate(address)
         table.map_range(va, size)
-        # The per-page loop map_range replaced: one frame call per page.
+        # The per-page loop map_range replaced: one fresh frame per page.
         first = va // page_size
         for vpn in range(first, first + reference.pages_spanned(va, size)):
             if vpn not in reference._mapping:
-                reference._mapping[vpn] = reference._allocate_frame()
+                reference._mapping[vpn] = reference._next_frame
+                reference._next_frame += 1
         assert table._mapping == reference._mapping
         assert list(table._mapping) == list(reference._mapping)
         assert table._next_frame == reference._next_frame
@@ -88,6 +91,46 @@ class TestPageTable:
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
             PageTable().translate(-1)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.integers(0, 60),
+                st.integers(0, 9 * PAGE_4K),
+                st.integers(0, PAGE_4K - 1),
+            ),
+            max_size=40,
+        )
+    )
+    def test_extents_match_the_per_page_mapping(self, ops):
+        """The mapped-extent index against the per-page dict, after
+        every ``map_range`` and faulting ``translate``: the extents are
+        the dict's maximal runs of consecutive pages, and the first
+        unmapped page of any stretch read off them is the dict's."""
+        table = PageTable(PAGE_4K)
+        for is_range, page, size, offset in ops:
+            va = page * PAGE_4K + offset
+            if is_range:
+                table.map_range(va, size)
+            else:
+                table.translate(va)
+            mapping = table._mapping
+            runs = []
+            for vpn in sorted(mapping):
+                if runs and runs[-1][1] == vpn:
+                    runs[-1][1] = vpn + 1
+                else:
+                    runs.append([vpn, vpn + 1])
+            assert table._starts == [start for start, _end in runs]
+            assert table._ends == [end for _start, end in runs]
+            for vpn in range(72):
+                expected = vpn
+                while expected in mapping:
+                    expected += 1
+                i = bisect_right(table._starts, vpn)
+                found = table._ends[i - 1] if i and vpn < table._ends[i - 1] else vpn
+                assert found == expected
 
 
 class TestTlb:
@@ -118,6 +161,27 @@ class TestTlb:
         tlb.fill(0)
         tlb.invalidate_all()
         assert not tlb.lookup(0)
+
+    @given(
+        st.integers(1, 8),
+        st.lists(st.tuples(st.integers(0, 20), st.integers(1, 10)), max_size=30),
+    )
+    def test_fill_range_first_flag_is_the_prior_holds(self, entries, fills):
+        """``fill_range``'s first-page flag is what ``holds`` read just
+        before the fill, and its hits are the per-page lookups'."""
+        tlb = Tlb(entries=entries, page_size=PAGE_4K)
+        reference = Tlb(entries=entries, page_size=PAGE_4K)
+        for vpn, count in fills:
+            first_held = tlb._cache.holds(0, vpn)
+            hits = 0
+            for page in range(vpn, vpn + count):
+                if reference.lookup(page * PAGE_4K):
+                    hits += 1
+                else:
+                    reference.fill(page * PAGE_4K)
+            assert tlb.fill_range(vpn, vpn + count) == (hits, first_held)
+            assert list(tlb._cache) == list(reference._cache)
+            assert (tlb.hits, tlb.misses) == (reference.hits, reference.misses)
 
     def test_hit_rate(self):
         tlb = Tlb(entries=4, page_size=PAGE_4K)

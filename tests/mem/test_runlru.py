@@ -60,13 +60,15 @@ def _apply(lru: RunLru, ref: ReferenceLru, op) -> None:
     end = vpn + count
     od = ref.od
     if kind == "fill":
+        # The first-page flag is what holds() reads before the fill.
+        first_cached = lru.holds(ns, vpn)
         hits = 0
         for v in range(vpn, end):
             if ref.touch((ns, v)):
                 hits += 1
             else:
                 ref.insert((ns, v))
-        assert lru.fill(ns, vpn, end) == hits
+        assert lru.fill(ns, vpn, end) == (hits, first_cached)
     elif kind == "access":
         stop, cached = lru.access(ns, vpn, end)
         assert vpn < stop <= end

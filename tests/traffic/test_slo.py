@@ -98,6 +98,24 @@ def test_no_slo_never_violates():
     assert account.windows == 1 and account.violation_windows == 0
 
 
+def test_window_histogram_only_for_tenants_with_an_slo():
+    acct = make(window_ns=100.0)
+    acct.register(spec("free", slo=None))
+    acct.register(spec("bound", slo=Slo(p99_ns=50.0)))
+    for i in range(10):
+        for name in ("free", "bound"):
+            acct.offered(name, 10.0 + i)
+            acct.completed(name, 10.0 + i, latency_ns=200.0, nbytes=1)
+    for name in ("free", "bound"):
+        acct.completed(name, 150.0, latency_ns=1.0, nbytes=1)  # rolls
+    free, bound = acct.account("free"), acct.account("bound")
+    assert free.window_hist is None
+    assert (free.windows, free.violation_windows) == (1, 0)
+    assert (bound.windows, bound.violation_windows) == (1, 1)
+    assert len(bound.window_hist) == 1  # the fresh window's one sample
+    assert free.percentile(99.0) == bound.percentile(99.0)
+
+
 def test_cohort_merge_is_exact():
     acct = make()
     acct.register(spec("a", cohort="hi"))
