@@ -9,14 +9,15 @@ injection (``repro.faults``): every device translation consults the
 active injector, which may turn it into a page fault (minor or major)
 or trigger an ATC shoot-down, before the real cache/IOMMU lookup runs.
 With no injector installed those checks are a single ``None`` test
-per range, and the range is walked a stretch of cached or uncached
-pages at a time (:class:`~repro.mem.runlru.RunLru`).
+per descriptor, and its operands are walked a stretch of cached or
+uncached pages at a time (:class:`~repro.mem.runlru.RunLru`), abutting
+operands as one stretch (:meth:`DeviceAtc.translate_operands`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Optional, Tuple, TYPE_CHECKING
+from typing import Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.faults import inject
 from repro.mem.iommu import Iommu
@@ -130,10 +131,9 @@ class DeviceAtc:
         critical path; subsequent pages are translated while data
         streams (the reason huge pages barely move throughput, Fig 8).
         """
-        if size <= 0:
-            return 0.0, 0
-        walk = self._walk if inject.active is None else self._walk_exact
-        critical, faults, _fault_va = walk(pasid, va, size, True)
+        critical, faults, _offset, _fault_va = self.translate_operands(
+            pasid, ((None, va, size),), True
+        )
         return critical, faults
 
     def translate_range_partial(
@@ -150,18 +150,29 @@ class DeviceAtc:
         fault-free range the latency, cache state, and IOMMU state are
         identical to :meth:`translate_range`.
         """
-        if size <= 0:
-            return 0.0, 0, None
-        walk = self._walk if inject.active is None else self._walk_exact
-        return walk(pasid, va, size, False)
+        critical, faults, _offset, fault_va = self.translate_operands(
+            pasid, ((None, va, size),), False
+        )
+        return critical, faults, fault_va
 
-    def _walk(
-        self, pasid: int, va: int, size: int, service_fault: bool
-    ) -> Tuple[float, int, Optional[int]]:
-        """Translate ``[va, va+size)`` with no fault injector installed.
+    def translate_operands(
+        self, pasid: int, operands: Sequence[Tuple[object, int, int]], service_fault: bool
+    ) -> Tuple[float, int, Optional[int], Optional[int]]:
+        """Translate every page of a descriptor's operands, in order.
 
-        Returns ``(critical, faults, fault_va)``.  The range is walked
-        one segment at a time, first page included:
+        ``operands`` are ``(buffer, va, nbytes)`` triples as
+        :class:`~repro.dsa.engine.IoDemand` lists them (the buffer is not
+        read).  The result is what walking each operand alone, one after
+        the other, gives: :meth:`translate_range` for
+        ``service_fault=True`` (BOF=1), :meth:`translate_range_partial`
+        for ``service_fault=False`` (BOF=0).  Returns ``(latency,
+        faults, fault_offset, fault_va)``: the largest operand critical
+        path, the summed faults, and under BOF=0 the smallest fault
+        offset into its operand with that fault's address (``None`` for
+        both when no operand faulted).
+
+        With no fault injector installed, pages are walked a segment at
+        a time, first page included:
 
         * a stretch of ATC hits becomes the MRU stretch in one step;
         * a stretch of ATC misses on mapped pages (one bisection of the
@@ -171,62 +182,125 @@ class DeviceAtc:
           page hit) and is inserted into the ATC as one MRU stretch;
         * an unmapped page is a real fault and takes the exact
           :meth:`translate`: it stalls the engine for its full service
-          time (BOF=1) or ends the walk at ``fault_va`` (BOF=0, nothing
-          cached or mapped for it and no later page touched).
+          time (BOF=1) or ends its operand's walk at the faulting page
+          (BOF=0, nothing cached or mapped for it and no later page of
+          the operand touched; the next operand starts at its own first
+          page).
 
-        The first page's latency follows from its segment's kind (ATC
-        hit, IOTLB hit or table walk); the rest overlap with streaming,
-        so only their faults add latency.  Cache LRU order, counters,
-        frame allocation and metrics end up exactly as a per-page
-        :meth:`translate` loop leaves them: an insert may evict a later
-        page of the range, which then misses in turn.
+        Operands whose pages abut (one's last page + 1 is the next one's
+        first) form one stretch, so a cached run covering both moves to
+        MRU in one step instead of being split on one operand's hit and
+        merged back on the next's.  That is exact: a per-page loop over
+        one operand and then the next visits the same pages in the same
+        order as a loop over their union.  A cached stretch may run past
+        an operand's end; an uncached one stops there, so each
+        operand's first-page IOTLB flag is read when a per-operand walk
+        would read it.
+
+        Each operand's critical path follows from its first page's
+        segment kind (ATC hit, IOTLB hit or table walk); its other pages
+        overlap with streaming, so only their faults add latency.  Cache
+        LRU order, counters, frame allocation and metrics end up exactly
+        as a per-page :meth:`translate` loop leaves them: an insert may
+        evict a later page of the range, which then misses in turn.
+        While an injector is active every operand takes
+        :meth:`_walk_exact` instead.
         """
-        iotlb, starts, ends, page, miss_latency = self.iommu.walk_states[pasid]
+        exact = inject.active is not None
+        walk_state = None
         cache = self._cache
-        vpn = va // page
-        end = (va + size - 1) // page + 1
-        critical = None
+        hit_latency = self.hit_latency
+        worst = 0.0
         faults = hits = misses = iotlb_misses = 0
-        fault_va = None
-        while vpn < end:
-            stop, cached = cache.access(pasid, vpn, end)
-            if cached:
-                if critical is None:
-                    critical = self.hit_latency
-                hits += stop - vpn
-                vpn = stop
+        fault_offset = fault_va = None
+        # The walk stands at page ``vpn``; ``last`` is the end of the
+        # operand walked before, and ``limit`` the end of the abutting
+        # operands a cached stretch may cover.
+        vpn = last = limit = -1
+        n = len(operands)
+        for k in range(n):
+            _buffer, va, size = operands[k]
+            if size <= 0:
                 continue
-            # The stretch's mapped prefix ends where the table's extent
-            # holding ``vpn`` ends; none holds it if that is <= vpn.
-            i = bisect_right(starts, vpn)
-            mapped = ends[i - 1] if i else vpn
-            if mapped > stop:
-                mapped = stop
-            if mapped > vpn:
-                iotlb_hits, iotlb_first = iotlb.fill_range(vpn, mapped)
-                if critical is None:
-                    critical = self.hit_latency + (
-                        self._iotlb_hit_latency if iotlb_first else miss_latency
+            if exact:
+                critical, op_faults, fault = self._walk_exact(pasid, va, size, service_fault)
+                faults += op_faults
+            else:
+                if walk_state is None:
+                    # Read at the first page walked: a descriptor with
+                    # no bytes to move touches no IOMMU state.
+                    walk_state = iotlb, starts, ends, page, miss_latency = (
+                        self.iommu.walk_states[pasid]
                     )
-                iotlb_misses += mapped - vpn - iotlb_hits
-                cache.insert(pasid, vpn, mapped)
-                misses += mapped - vpn
-                vpn = mapped
-                if mapped == stop:
-                    continue
-            # Page ``vpn`` is unmapped: a fault, on the exact path.
-            page_va = max(va, vpn * page)
-            latency, faulted = self.translate(pasid, page_va, service_fault)
-            if critical is None:
-                critical = latency
-            elif faulted:
-                critical += latency
-            if faulted:
-                faults += 1
-                if not service_fault:
-                    fault_va = page_va
-                    break
-            vpn += 1
+                first = va // page
+                end = (va + size - 1) // page + 1
+                if vpn > first and first == last:
+                    # Abuts the operand before, whose cached stretch ran
+                    # past page ``first``: ``limit`` covers this one.
+                    critical = hit_latency
+                else:
+                    vpn = first
+                    critical = None
+                    limit = end
+                    j = k + 1
+                    while j < n:
+                        _buffer, next_va, next_size = operands[j]
+                        if next_size <= 0 or next_va // page != limit:
+                            break
+                        limit = (next_va + next_size - 1) // page + 1
+                        j += 1
+                last = end
+                fault = None
+                while vpn < end:
+                    stop, cached = cache.access(pasid, vpn, limit)
+                    if cached:
+                        if critical is None:
+                            critical = hit_latency
+                        hits += stop - vpn
+                        vpn = stop
+                        continue
+                    if stop > end:
+                        stop = end
+                    # The stretch's mapped prefix ends where the table's
+                    # extent holding ``vpn`` ends; none holds it if that
+                    # is <= vpn.
+                    i = bisect_right(starts, vpn)
+                    mapped = ends[i - 1] if i else vpn
+                    if mapped > stop:
+                        mapped = stop
+                    if mapped > vpn:
+                        iotlb_hits, iotlb_first = iotlb.fill_range(vpn, mapped)
+                        if critical is None:
+                            critical = hit_latency + (
+                                self._iotlb_hit_latency if iotlb_first else miss_latency
+                            )
+                        iotlb_misses += mapped - vpn - iotlb_hits
+                        cache.insert(pasid, vpn, mapped)
+                        misses += mapped - vpn
+                        vpn = mapped
+                        if mapped == stop:
+                            continue
+                    # Page ``vpn`` is unmapped: a fault, on the exact path.
+                    page_va = max(va, vpn * page)
+                    latency, faulted = self.translate(pasid, page_va, service_fault)
+                    if critical is None:
+                        critical = latency
+                    elif faulted:
+                        critical += latency
+                    if faulted:
+                        faults += 1
+                        if not service_fault:
+                            fault = page_va
+                            break
+                    vpn += 1
+            if critical > worst:
+                worst = critical
+            if fault is not None:
+                # The fault lies inside the operand: 0 <= offset < size.
+                offset = fault - va
+                if fault_offset is None or offset < fault_offset:
+                    fault_offset = offset
+                    fault_va = fault
         if hits:
             self.hits += hits
             if self._m_hits is not None:
@@ -237,15 +311,16 @@ class DeviceAtc:
             if self._m_misses is not None:
                 self._m_misses.add(misses)
             self.iommu.count_walk(misses, iotlb_misses)
-        return critical, faults, fault_va
+        return worst, faults, fault_offset, fault_va
 
     def _walk_exact(
         self, pasid: int, va: int, size: int, service_fault: bool
     ) -> Tuple[float, int, Optional[int]]:
-        """:meth:`_walk` while a fault injector is active: every page
-        takes :meth:`translate`, so injected faults, shoot-downs (which
-        flush the ATC mid-range) and scripted addresses are decided in
-        page order."""
+        """One operand of :meth:`translate_operands` while a fault
+        injector is active: every page takes :meth:`translate`, so
+        injected faults, shoot-downs (which flush the ATC mid-range) and
+        scripted addresses are decided in page order.  Returns
+        ``(critical, faults, fault_va)``."""
         page = self._page_size(pasid)
         critical, faulted = self.translate(pasid, va, service_fault)
         faults = int(faulted)

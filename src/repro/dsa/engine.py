@@ -552,36 +552,23 @@ class _DataPhase:
                 memsys.ats_acquire(device.socket, remote_homes) if remote_homes else 0.0
             )
 
-            # Address translation: first page on the critical path,
-            # page faults stall for their full service time (BOF=1) or
-            # abort the descriptor with a partial completion (BOF=0).
-            translate_ns = 0.0
-            total_faults = 0
+            # Address translation, one walk over every operand: first
+            # page on the critical path, page faults stall for their
+            # full service time (BOF=1) or abort the descriptor with a
+            # partial completion (BOF=0).
             translated = self._translated
-            atc = device.atc
-            if int(work.flags) & _BLOCK_ON_FAULT:
-                for _buffer, va, nbytes in operands:
-                    latency, faults = atc.translate_range(work.pasid, va, nbytes)
-                    translate_ns = max(translate_ns, latency)
-                    total_faults += faults
+            block_on_fault = bool(int(work.flags) & _BLOCK_ON_FAULT)
+            translate_ns, faults, fault_offset, fault_va = device.atc.translate_operands(
+                work.pasid, operands, block_on_fault
+            )
+            if block_on_fault:
+                self.faults = faults
             else:
-                fault_offset = None
-                fault_va = None
-                for _buffer, va, nbytes in operands:
-                    latency, faults, first_fault = atc.translate_range_partial(
-                        work.pasid, va, nbytes
-                    )
-                    translate_ns = max(translate_ns, latency)
-                    if faults:
-                        offset = min(nbytes, max(0, first_fault - va))
-                        if fault_offset is None or offset < fault_offset:
-                            fault_offset = offset
-                            fault_va = first_fault
+                self.faults = 0
                 if fault_offset is not None:
                     self.fault_offset = fault_offset
                     self.fault_va = fault_va
                     translated = self._fault_translated
-            self.faults = total_faults
             translate_ns += ats_ns
             if translate_ns:
                 env.call_in(translate_ns, translated)

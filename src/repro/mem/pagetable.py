@@ -27,11 +27,10 @@ WALK_STEP_NS = 20.0
 class PageTable:
     """Virtual→physical mapping for one address space (one PASID)."""
 
-    def __init__(self, page_size: int = PAGE_4K, prepopulate: bool = False):
+    def __init__(self, page_size: int = PAGE_4K):
         if page_size not in (PAGE_4K, PAGE_2M):
             raise ValueError(f"unsupported page size: {page_size}")
         self.page_size = page_size
-        self.prepopulate = prepopulate
         self._mapping: Dict[int, int] = {}
         #: Mapped VPNs as disjoint, non-adjacent extents
         #: ``[_starts[i], _ends[i])`` in ascending order.  Both lists

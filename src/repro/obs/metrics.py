@@ -56,9 +56,18 @@ class Gauge:
         self._stat = TimeWeightedStat()
 
     def update(self, now: float, level: float) -> None:
-        if now < self._stat.last_time:
-            self._stat.restart_epoch(now)
-        self._stat.update(now, level)
+        # TimeWeightedStat.update inlined: a WQ occupancy or pool depth
+        # gauge updates twice per request.
+        stat = self._stat
+        last = stat._last_time
+        if now < last:
+            stat.restart_epoch(now)
+            last = now
+        stat._area += stat._level * (now - last)
+        stat._last_time = now
+        stat._level = level
+        if level > stat.maximum:
+            stat.maximum = level
 
     @property
     def level(self) -> float:

@@ -1,33 +1,35 @@
 """Core event loop: simulated clock, events, and generator processes.
 
 The engine follows the classic event-calendar design: a calendar of
-``(time, priority, sequence, item)`` entries, popped in order.  An item
-is either an :class:`Event`, whose callbacks run when it pops, or a
-plain callable pushed by :meth:`Environment.call_in` (a *bare entry*),
-which is simply called.  Model code is written as generator functions
-("processes") that ``yield`` events; when a yielded event triggers, the
-process is resumed with the event's value.
+``(when, seq, item)`` entries, popped in order.  ``seq`` comes from one
+counter for every push, so no two entries tie and the comparison never
+reaches the item.  An item is either an :class:`Event`, whose callbacks
+run when it pops, or a plain callable pushed by
+:meth:`Environment.call_in` (a *bare entry*), which is simply called.
+Model code is written as generator functions ("processes") that
+``yield`` events; when a yielded event triggers, the process is resumed
+with the event's value.
 
 Three forms, by who waits (docs/ARCHITECTURE.md, Layer 1):
 
 * a bare entry for one hop of a fixed chain that exactly one party
-  continues — a per-descriptor stage, a flow report, an arrival;
+  continues — a per-descriptor stage, a flow report, an arrival, a CPU
+  pool worker's wake-up or service time;
 * an :class:`Event` for a wait that several parties may share, or that
   must be cancellable or yieldable;
-* a :class:`Process` for a long-lived loop.
+* a :class:`Process` for a long-lived loop written as a generator.
 
 A bare entry takes its ``seq`` from the same counter at the point of
 the push, so a model moved from ``timeout(d).callbacks.append(fn)`` to
 ``call_in(d, fn)`` pops in exactly the same order.  Bare entries are
 never cancelled.
 
-The calendar is a binary heap.  Every entry has priority ``NORMAL``,
-so it pops in ``(when, seq)`` order.  Beside the heap it keeps a
-*same-instant lane*: a FIFO (``collections.deque``) of the items whose
-computed ``when`` equals the clock at the push (``now + delay ==
-now``, which also catches a positive delay rounded away at a large
-``now``).  The entry still takes
-its ``seq``; the lane holds just the item, since its key is implied.
+The calendar is a binary heap, popped in ``(when, seq)`` order.  Beside
+the heap it keeps a *same-instant lane*: a FIFO (``collections.deque``)
+of the items whose computed ``when`` equals the clock at the push
+(``now + delay == now``, which also catches a positive delay rounded
+away at a large ``now``).  The entry still takes its ``seq``; the lane
+holds just the item, since its key is implied.
 The order stays exact by construction: a heap entry keyed at ``now``
 was pushed before the clock reached ``now``, so its ``seq`` is smaller
 than any lane entry's, and once the clock is at ``now`` no push can put
@@ -56,9 +58,6 @@ _new_event = object.__new__
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-#: The priority field of every calendar entry.
-NORMAL = 1
-
 #: Calendar compaction: when more than this many cancelled entries sit
 #: in the calendar *and* they outnumber the live entries, the calendar
 #: is rebuilt without them (one O(n) pass instead of n O(log n) pops).
@@ -73,7 +72,7 @@ _EVENT_TYPES: set = set()
 
 def _is_dead(entry) -> bool:
     """True for a cancelled Event's calendar entry (bare entries never are)."""
-    item = entry[3]
+    item = entry[2]
     return type(item) in _EVENT_TYPES and item._cancelled
 
 
@@ -175,7 +174,7 @@ class Event:
         if when == now:
             env._lane.append(self)
         else:
-            _heappush(env._calendar, (when, NORMAL, env._seq, self))
+            _heappush(env._calendar, (when, env._seq, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -489,13 +488,13 @@ class Environment:
         if when == now:
             self._lane.append(ev)
         else:
-            _heappush(self._calendar, (when, NORMAL, self._seq, ev))
+            _heappush(self._calendar, (when, self._seq, ev))
         return ev
 
     def call_in(self, delay: float, fn: Callable[[], None]) -> None:
         """Call ``fn()`` after ``delay``: a bare calendar entry.
 
-        Pushes ``(now + delay, NORMAL, seq, fn)`` with ``seq`` from the
+        Pushes ``(now + delay, seq, fn)`` with ``seq`` from the
         same counter as every other entry, so it pops exactly where
         ``timeout(delay).callbacks.append(fn)`` would — without the
         :class:`Timeout` and its callbacks list.  For one hop of a fixed
@@ -510,7 +509,7 @@ class Environment:
         if when == now:
             self._lane.append(fn)
         else:
-            _heappush(self._calendar, (when, NORMAL, self._seq, fn))
+            _heappush(self._calendar, (when, self._seq, fn))
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
@@ -529,7 +528,7 @@ class Environment:
         if when == now:
             self._lane.append(event)
         else:
-            _heappush(self._calendar, (when, NORMAL, self._seq, event))
+            _heappush(self._calendar, (when, self._seq, event))
 
     # -- cancellation bookkeeping ---------------------------------------
     @property
@@ -603,7 +602,7 @@ class Environment:
         lane = self._lane
         while True:
             if calendar and (not lane or calendar[0][0] <= self._now):
-                when, _prio, _seq, event = _heappop(calendar)
+                when, _seq, event = _heappop(calendar)
             elif lane:
                 when = self._now
                 event = lane.popleft()
@@ -674,7 +673,7 @@ class Environment:
                 if until is not None and calendar[0][0] > until:
                     self._now = until
                     return
-                when, _prio, _seq, event = pop(calendar)
+                when, _seq, event = pop(calendar)
                 if type(event) not in event_types:  # bare entry
                     self._now = when
                     event()

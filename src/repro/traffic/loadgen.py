@@ -64,6 +64,13 @@ class CpuServicePool:
     backlog is at ``queue_limit`` (the request is shed — the caller
     accounts the drop).  Workers serve FIFO, each request occupying one
     worker for the calibrated ``kernels.time(opcode, size)``.
+
+    A worker is a chain of bare calendar entries (:class:`_CpuWorker`):
+    one at start-up, one per wake-up of a parked worker, and one per
+    service time.  They are pushed where a generator process per worker
+    would push its boot event, wake event and service timeout, so the
+    calendar pops as it does for that form (the frozen copy in
+    ``tests/traffic/reference_pool.py``).
     """
 
     def __init__(
@@ -84,14 +91,15 @@ class CpuServicePool:
         self.queue_limit = queue_limit
         self.name = name
         self._queue: Deque[Tuple[float, Event]] = deque()
-        self._idle: List[Event] = []
+        #: Parked workers; ``try_submit`` wakes the newest.
+        self._idle: List[_CpuWorker] = []
         self.admitted = 0
         self.shed = 0
         self.served = 0
         self._m_shed = env.metrics.counter(f"{name}.shed")
         self._m_depth = env.metrics.gauge(f"{name}.depth")
         for _ in range(cores):
-            env.process(self._worker(), name=f"{name}.worker")
+            env.call_in(0.0, _CpuWorker(self).next)
 
     @property
     def depth(self) -> int:
@@ -108,25 +116,41 @@ class CpuServicePool:
         self.admitted += 1
         self._m_depth.update(self.env._now, len(self._queue))
         if self._idle:
-            self._idle.pop().succeed(None)
+            self.env.call_in(0.0, self._idle.pop().next)
         return done
 
-    def _worker(self):
-        env = self.env
-        while True:
-            while not self._queue:
-                # Park on a fresh one-shot event; try_submit wakes one
-                # parked worker per admission.  A run ends cleanly with
-                # workers parked (untriggered events hold no calendar
-                # entries).
-                wake = Event(env)
-                self._idle.append(wake)
-                yield wake
-            service_ns, done = self._queue.popleft()
-            self._m_depth.update(env._now, len(self._queue))
-            yield env.timeout(service_ns)
-            self.served += 1
-            done.succeed(env._now)
+
+class _CpuWorker:
+    """One core of a :class:`CpuServicePool`, as bare calendar entries.
+
+    :meth:`next` takes the oldest queued request, or parks the worker
+    when the backlog is empty (a parked worker holds no calendar entry,
+    so a run ends cleanly with workers parked); :meth:`finish` ends a
+    service and goes on to the next request.
+    """
+
+    __slots__ = ("pool", "done")
+
+    def __init__(self, pool: CpuServicePool):
+        self.pool = pool
+        self.done: Optional[Event] = None
+
+    def next(self) -> None:
+        pool = self.pool
+        queue = pool._queue
+        if not queue:
+            pool._idle.append(self)
+            return
+        service_ns, self.done = queue.popleft()
+        env = pool.env
+        pool._m_depth.update(env._now, len(queue))
+        env.call_in(service_ns, self.finish)
+
+    def finish(self) -> None:
+        pool = self.pool
+        pool.served += 1
+        self.done.succeed(pool.env._now)
+        self.next()
 
 
 class _TenantState:

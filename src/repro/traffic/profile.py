@@ -150,7 +150,7 @@ class _SizeSampler:
         self.dist = dist
         self.rng = rng
         self.batch = batch
-        self._buf: Optional[np.ndarray] = None
+        self._buf: Optional[memoryview] = None
         self._pos = 0
 
     def _refill(self) -> np.ndarray:
@@ -170,9 +170,11 @@ class _SizeSampler:
             return self.dist.size
         buf = self._buf
         if buf is None or self._pos >= len(buf):
-            buf = self._buf = self._refill()
+            # One conversion per batch, not an int() per draw: the
+            # view's items are Python ints.
+            buf = self._buf = memoryview(self._refill().astype(np.int64))
             self._pos = 0
-        value = int(buf[self._pos])
+        value = buf[self._pos]
         self._pos += 1
         return value
 

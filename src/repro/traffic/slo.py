@@ -130,7 +130,10 @@ class SloAccountant:
     # -- recording -------------------------------------------------------
     def offered(self, name: str, now: float) -> None:
         account = self._accounts[name]
-        self._roll(account, now)
+        # _roll's own test, made here: most requests land inside the
+        # open window, and this runs once per request.
+        if now >= account.window_start + self.window_ns:
+            self._roll(account, now)
         account.offered += 1
         account.window_offered += 1
 
@@ -145,7 +148,8 @@ class SloAccountant:
         self, name: str, now: float, latency_ns: float, nbytes: int, retries: int = 0
     ) -> None:
         account = self._accounts[name]
-        self._roll(account, now)
+        if now >= account.window_start + self.window_ns:
+            self._roll(account, now)
         account.completed += 1
         account.retries += retries
         account.bytes_completed += nbytes

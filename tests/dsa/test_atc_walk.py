@@ -19,6 +19,7 @@ from collections import OrderedDict
 from typing import Optional, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dsa.atc import DeviceAtc
 from repro.faults.inject import FaultInjector, active_injector, injection
@@ -449,3 +450,153 @@ def test_resident_tail_takes_no_per_page_call():
     assert atc.translate_range(1, 100, 16 * PAGE_4K) == (atc.hit_latency + 40.0 + 80.0, 0)
     assert calls == []
     assert iommu.translations == 17 and atc.misses == 17
+
+
+# -- one walk per descriptor ---------------------------------------------
+
+
+def reference_operands(atc: ReferenceAtc, pasid: int, operands, service_fault: bool):
+    """The per-operand loop the data phase ran before one walk covered
+    all of a descriptor's operands: each operand through the per-page
+    ``reference_range`` (BOF=1) or ``reference_partial`` (BOF=0), the
+    largest latency, the summed faults and the first BOF=0 fault by
+    offset into its operand."""
+    latency = 0.0
+    faults = 0
+    fault_offset = fault_va = None
+    for _buffer, va, nbytes in operands:
+        if service_fault:
+            critical, found = reference_range(atc, pasid, va, nbytes)
+        else:
+            critical, found, first_fault = reference_partial(atc, pasid, va, nbytes)
+            if found:
+                offset = min(nbytes, max(0, first_fault - va))
+                if fault_offset is None or offset < fault_offset:
+                    fault_offset = offset
+                    fault_va = first_fault
+        latency = max(latency, critical)
+        faults += found
+    return latency, faults, fault_offset, fault_va
+
+
+#: How an operand sits against the one before it, by page.
+PLACEMENTS = ("abut", "abut", "share", "gap", "before", "anywhere", "zero")
+
+
+@st.composite
+def _operand_shapes(draw):
+    """``(placement, gap, start, pages, end)`` for 1–4 operands: where
+    the operand's first page lies against the previous operand's last
+    page, how far (``gap``), the in-page start and end (indices into
+    ``_IN_PAGE``) and the pages it spans."""
+    return draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(PLACEMENTS),
+                st.integers(1, 4),
+                st.integers(0, 3),
+                st.integers(1, 20),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+
+
+def _in_page(page: int, index: int) -> int:
+    return (0, 1, page // 2, page - 1)[index]
+
+
+def _operands(shapes, page: int, base: int):
+    """Byte operands ``(None, va, nbytes)`` for ``shapes`` (see above)."""
+    operands = []
+    last = base
+    for placement, gap, start, pages, end in shapes:
+        if placement == "abut":
+            first = last + 1
+        elif placement == "share":
+            first = last
+        elif placement == "gap":
+            first = last + 1 + gap
+        elif placement == "before":
+            first = max(0, last - gap - pages)
+        else:
+            first = (base + 7 * gap) % REGION_PAGES
+        va = first * page + _in_page(page, start)
+        if placement == "zero":
+            operands.append((None, va, 0))
+            continue
+        stop = (first + pages - 1) * page + _in_page(page, end) + 1
+        if stop <= va:
+            stop = (first + pages) * page
+        operands.append((None, va, stop - va))
+        last = (stop - 1) // page
+    return operands
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    descriptors=st.lists(
+        st.tuples(
+            st.sampled_from(PASIDS),
+            st.integers(0, REGION_PAGES - 1),
+            _operand_shapes(),
+            st.booleans(),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    injected=st.booleans(),
+)
+def test_one_walk_matches_per_operand_reference(seed, descriptors, injected):
+    """``translate_operands`` against the per-operand, per-page loop:
+    operands abutting, sharing a page, gapped, overlapping and empty,
+    over partly mapped tables, under BOF=1 and BOF=0 (where software
+    may touch the faulting page before the next descriptor), with and
+    without a fault injector.  Return values, ATC and IOTLB LRU order,
+    hit and miss counters, the IOMMU's counters, frame allocation, the
+    metrics and the injector's draws must all agree."""
+    runs = []
+    for walker in (True, False):
+        atc, registry = _stack(seed, reference=not walker)
+        injector = FaultInjector(FAULT_PLAN) if injected else None
+        results = []
+        with injection(injector) if injected else contextlib.nullcontext():
+            for pasid, base, shapes, service_fault, touch in descriptors:
+                operands = _operands(shapes, atc._page_size(pasid), base)
+                if walker:
+                    result = atc.translate_operands(pasid, operands, service_fault)
+                else:
+                    result = reference_operands(atc, pasid, operands, service_fault)
+                results.append(result)
+                if result[3] is not None and touch:
+                    atc.iommu._tables[pasid].map_range(result[3], 1)
+        state = _state(atc, registry)
+        runs.append((results, state, _injector_state(injector) if injected else None))
+    assert runs[0] == runs[1]
+
+
+def test_abutting_cached_operands_take_one_access(monkeypatch):
+    """A source and destination on adjacent pages, both cached as one
+    run, move to MRU in one cache access: no split on the source's hit
+    and merge on the destination's."""
+    iommu = Iommu()
+    table = PageTable(PAGE_4K)
+    table.map_range(0, 16 * PAGE_4K)
+    iommu.attach(1, table)
+    atc = DeviceAtc(iommu, entries=64)
+    src, dst = (None, 0, 4 * PAGE_4K), (None, 4 * PAGE_4K, 4 * PAGE_4K)
+    atc.translate_operands(1, [src, dst], True)
+    assert len(atc._cache._index[1][1]) == 1  # one run, pages 0-7
+    accesses = []
+    access = RunLru.access
+    monkeypatch.setattr(
+        RunLru, "access", lambda self, *args: accesses.append(args) or access(self, *args)
+    )
+    assert atc.translate_operands(1, [src, dst], True) == (atc.hit_latency, 0, None, None)
+    assert accesses == [(1, 0, 8)]
+    assert len(atc._cache._index[1][1]) == 1
+    assert (atc.hits, atc.misses) == (8, 8)

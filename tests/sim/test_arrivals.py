@@ -53,6 +53,7 @@ def test_gap_stream_batch_invariant(make, batch):
     reference = [make(4096).next_gap() for _ in range(300)]
     got = [make(batch).next_gap() for _ in range(300)]
     assert got == reference
+    assert all(type(gap) is float for gap in got)
 
 
 def test_times_equals_scalar_cumsum():

@@ -1,13 +1,15 @@
 """Bare calendar entries (``Environment.call_in``) and event delays.
 
-A bare entry pushes ``(when, NORMAL, seq, fn)`` and the run loops call
-``fn()`` when it pops.  It must pop exactly where the Timeout form —
+A bare entry pushes ``(when, seq, fn)`` and the run loops call ``fn()``
+when it pops.  It must pop exactly where the Timeout form —
 ``env.timeout(delay).callbacks.append(...)`` — would, and where the
 plain-heap ``ReferenceEnvironment`` pops it, mixed with Timeouts,
 ``Event.succeed`` entries and cancellations: same callback log, same
 clock, same ``seq`` count.
-The open-loop arrival driver, a chain of bare entries, must likewise
-match the generator process it replaced.
+The open-loop arrival driver and the CPU service pool's workers, chains
+of bare entries, must likewise match the generator processes they
+replaced: the same entries popped at the same instants, with the same
+``seq`` count after each pop.
 """
 
 import gc
@@ -16,9 +18,13 @@ import weakref
 
 import pytest
 
+from repro.cpu.swlib import SoftwareKernels
+from repro.dsa.opcodes import Opcode
 from repro.sim import Environment, Interrupt, SimulationError
 from repro.sim.arrivals import open_loop
+from repro.traffic.loadgen import CpuServicePool, _CpuWorker
 from tests.sim.reference_engine import ReferenceEnvironment
+from tests.traffic.reference_pool import ReferenceCpuServicePool
 
 #: The engine and its frozen plain-heap oracle: both must hold the
 #: calendar properties the named tests below pin.
@@ -377,3 +383,111 @@ def test_finished_driver_releases_its_handler():
     finally:
         if enabled:
             gc.enable()
+
+
+# -- the CPU service pool --------------------------------------------------
+
+
+class _GridKernels:
+    """Service times on the arrivals' grid, so a worker often finishes
+    at the instant another is woken: the woken one then finds the
+    backlog already taken."""
+
+    def time(self, opcode, size, in_llc=False):
+        return {64: 0.0, 4096: 1.0, 65536: 5.0, 1 << 20: 50.0}[size] * (1 + in_llc)
+
+
+def _drive_pool(make_pool, seed):
+    """Random arrivals into a pool of 1–4 workers with a small backlog,
+    stepped one calendar pop at a time.
+
+    Arrivals sit on a coarse grid (several per instant, some before the
+    workers' start-up entries pop) among unrelated ticks; service times
+    sit on the same grid.  Returns the pop log — the clock, ``seq``
+    count, served and backlog after every pop — the admission and
+    completion log, and the pool's counters and gauge.
+    """
+    rng = random.Random(seed)
+    env = Environment()
+    pool = make_pool(env, _GridKernels(), cores=rng.randint(1, 4), queue_limit=rng.randint(1, 6))
+    log = []
+
+    def arrive(index):
+        size = rng.choice([64, 4096, 65536, 1 << 20])
+        done = pool.try_submit(Opcode.MEMMOVE, size, in_llc=rng.random() < 0.3)
+        if done is None:
+            log.append(("shed", index, env.now))
+            return
+        log.append(("admitted", index, env.now, pool.depth))
+        done.callbacks.append(lambda ev: log.append(("done", index, env.now, ev.value)))
+
+    for index in range(rng.randint(0, 3)):
+        arrive(index)  # before any worker's start-up entry pops
+    for index in range(3, 120):
+        delay = rng.choice([0.0, 1.0, 2.0, 5.0, 50.0]) * rng.randint(0, 20)
+        env.call_in(delay, lambda index=index: arrive(index))
+    for t in (0.0, 10.0, 200.0):
+        env.timeout(t).callbacks.append(lambda _ev, t=t: log.append(("tick", t, env.now)))
+    pops = []
+    while env.peek() != float("inf"):
+        env.step()
+        pops.append((env.now, env._seq, pool.served, pool.depth))
+    depth = env.metrics.gauge("cpu_pool.depth")
+    counters = (pool.admitted, pool.shed, pool.served, len(pool._idle))
+    return pops, log, counters, (depth.level, depth.maximum, depth.mean(env.now))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cpu_pool_matches_generator_form(seed):
+    bare = _drive_pool(CpuServicePool, seed)
+    assert bare == _drive_pool(ReferenceCpuServicePool, seed)
+    assert any(entry[0] == "done" for entry in bare[1])
+
+
+def test_cpu_pool_with_calibrated_kernels_matches_generator_form():
+    runs = []
+    for make_pool in (CpuServicePool, ReferenceCpuServicePool):
+        env = Environment()
+        pool = make_pool(env, SoftwareKernels(), cores=2, queue_limit=4)
+        dones = []
+        for index in range(40):
+            size = (64, 4096, 65536)[index % 3]
+            env.call_in(37.0 * index, lambda size=size: dones.append(
+                pool.try_submit(Opcode.MEMMOVE, size)))
+        env.run()
+        values = [None if done is None else done.value for done in dones]
+        runs.append((values, env.now, env._seq, pool.served, pool.shed))
+    assert runs[0] == runs[1]
+    assert runs[0][4] > 0 and runs[0][3] > 0
+
+
+def test_cpu_pool_schedules_cover_the_cases(monkeypatch):
+    """Across the seeds above: sheds, a backlog, and a woken worker that
+    finds the backlog already taken."""
+    seen = set()
+    woken = set()
+    submit, next_ = CpuServicePool.try_submit, _CpuWorker.next
+
+    def recording_submit(self, *args, **kwargs):
+        idle = list(self._idle)
+        done = submit(self, *args, **kwargs)
+        woken.update(worker for worker in idle if worker not in self._idle)
+        return done
+
+    def recording_next(self):
+        if self in woken:
+            woken.discard(self)
+            if not self.pool._queue:
+                seen.add("woken to an empty backlog")
+        next_(self)
+
+    monkeypatch.setattr(CpuServicePool, "try_submit", recording_submit)
+    monkeypatch.setattr(_CpuWorker, "next", recording_next)
+    for seed in range(40):
+        _pops, log, (admitted, shed, served, idle), _gauge = _drive_pool(CpuServicePool, seed)
+        assert admitted == served and idle >= 1
+        if shed:
+            seen.add("shed")
+        if any(entry[0] == "admitted" and entry[3] > 1 for entry in log):
+            seen.add("backlog")
+    assert seen == {"shed", "backlog", "woken to an empty backlog"}

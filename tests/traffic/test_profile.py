@@ -95,6 +95,18 @@ def test_size_dist_resolved_max():
     assert all(1 <= sampler.next() <= bound for _ in range(2000))
 
 
+def test_sampler_hands_out_each_refill_as_python_ints():
+    for dist in (
+        SizeDist(kind="lognormal", size=8 * KB, sigma=0.7),
+        SizeDist(kind="choice", choices=(KB, 64 * KB), weights=(3, 1)),
+    ):
+        sampler, twin = spec(sizes=dist).size_sampler(0), spec(sizes=dist).size_sampler(0)
+        expected = [int(size) for size in twin._refill()]
+        got = [sampler.next() for _ in range(len(expected))]
+        assert got == expected
+        assert all(type(size) is int for size in got)
+
+
 def test_fixed_sampler_consumes_no_randomness():
     # Two tenants sharing a stream index but fixed sizes draw nothing:
     # samples are the constant, with no RNG interaction.
