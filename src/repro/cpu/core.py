@@ -9,9 +9,12 @@ which is all this class does — the heavy lifting is in the simulator.
 from __future__ import annotations
 
 import enum
-from typing import Dict
+from typing import Dict, TYPE_CHECKING
 
 from repro.sim.engine import Environment
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.metrics import Counter
 
 
 class CycleCategory(enum.Enum):
@@ -49,9 +52,10 @@ class CpuCore:
         self.trace_agent = f"core{core_id}"
         #: Time per category, indexed by ``CycleCategory.slot``.
         self._time = [0.0] * len(_CATEGORIES)
-        #: ``<agent>.wait.<mode>_ns`` counters by wait mode, created on
-        #: this core's first wait in that mode (``repro.runtime``).
-        self.wait_counters: Dict = {}
+        #: ``<agent>.wait.<mode>_ns`` counters keyed by the wait mode's
+        #: ``slot`` (``repro.runtime.op.WaitMode``), created on this
+        #: core's first wait in that mode.
+        self.wait_counters: Dict[int, Counter] = {}
 
     def account(self, category: CycleCategory, duration_ns: float) -> None:
         if duration_ns < 0:

@@ -9,7 +9,10 @@ A PE asks for work with :meth:`GroupArbiter.request`.  The arbiter
 hands the selected descriptor over by setting the PE's ``_descriptor``
 and pushing one zero-delay bare entry to its ``_dispatch`` — the entry
 a delivering ``Event.succeed(descriptor)`` would push, without the
-Event.
+Event.  A PE that finds every WQ empty waits; only then does the
+arbiter set its WQs' ``on_enqueue`` hook, and it clears the hook again
+at the hand-off that leaves no PE waiting.  While every PE is busy, as
+on an overloaded SWQ, an enqueue calls nothing.
 """
 
 from __future__ import annotations
@@ -51,8 +54,6 @@ class GroupArbiter:
         self.dispatched = 0
         owner = self.wqs[0].name.rsplit(".", 1)[0]
         self._m_dispatched = env.metrics.counter(f"{owner}.arbiter.dispatched")
-        for wq in self.wqs:
-            wq.on_enqueue = self._on_enqueue
 
     def request(self, pe: "ProcessingEngine") -> None:
         """Hand ``pe`` the next descriptor now, or once one is enqueued.
@@ -61,20 +62,25 @@ class GroupArbiter:
         """
         descriptor = self._select()
         if descriptor is not None:
-            self._hand_off(pe, descriptor)
-        else:
-            self._waiting_pes.append(pe)
-
-    def _hand_off(self, pe: "ProcessingEngine", descriptor: Descriptor) -> None:
-        pe._descriptor = descriptor
-        self.env.call_in(0.0, pe._dispatch)
+            pe._descriptor = descriptor
+            self.env.call_in(0.0, pe._dispatch)
+            return
+        waiting = self._waiting_pes
+        if not waiting:
+            for wq in self.wqs:
+                wq.on_enqueue = self._on_enqueue
+        waiting.append(pe)
 
     def _on_enqueue(self, _wq: WorkQueue) -> None:
-        if not self._waiting_pes:
-            return
-        descriptor = self._select()
-        if descriptor is not None:
-            self._hand_off(self._waiting_pes.pop(0), descriptor)
+        """A WQ took a descriptor while a PE waits: hand it over."""
+        waiting = self._waiting_pes
+        pe = waiting.pop(0)
+        if not waiting:
+            for wq in self.wqs:
+                wq.on_enqueue = None
+        # The enqueue just made a WQ non-empty, so there is a pick.
+        pe._descriptor = self._select()
+        self.env.call_in(0.0, pe._dispatch)
 
     def _select(self) -> Optional[Descriptor]:
         """Smooth weighted round-robin over non-empty WQs.
@@ -98,9 +104,16 @@ class GroupArbiter:
             return None
         weights[best] = best_weight - total
         self.dispatched += 1
-        self._m_dispatched.add()
-        wq, _items, _priority, dispatch_weight = self._slots[best]
-        descriptor = wq.pop()
+        self._m_dispatched.value += 1
+        wq, items, _priority, dispatch_weight = self._slots[best]
+        # WorkQueue.pop inlined: the queue is known to be non-empty.
+        descriptor = items.popleft()
+        env = self.env
+        now = env._now
+        wq._m_occupancy.update(now, len(items))
+        tracer = env.tracer
+        if tracer.enabled and descriptor.trace_track >= 0:
+            tracer.end(now, "queued", "queue", wq.name, descriptor.trace_track)
         # The WQ's priority also shapes the descriptor's fabric share
         # while its data streams (QoS under port contention, §3.4).
         descriptor.dispatch_weight = dispatch_weight

@@ -95,7 +95,7 @@ class DeviceAtc:
                 cache.discard(pasid, vpn)
                 self.misses += 1
                 if self._m_misses is not None:
-                    self._m_misses.add()
+                    self._m_misses.value += 1
                 self._count("injected_faults")
                 walk = (
                     self.iommu.params.iotlb_hit_latency
@@ -110,11 +110,11 @@ class DeviceAtc:
         if cache.touch(pasid, vpn):
             self.hits += 1
             if self._m_hits is not None:
-                self._m_hits.add()
+                self._m_hits.value += 1
             return self.hit_latency, False
         self.misses += 1
         if self._m_misses is not None:
-            self._m_misses.add()
+            self._m_misses.value += 1
         latency, faulted = self.iommu.translate(pasid, va, service_fault)
         if faulted and not service_fault:
             # Unserviced fault: the page stays unmapped, so caching the
@@ -161,7 +161,7 @@ class DeviceAtc:
         """Translate every page of a descriptor's operands, in order.
 
         ``operands`` are ``(buffer, va, nbytes)`` triples as
-        :class:`~repro.dsa.engine.IoDemand` lists them (the buffer is not
+        :func:`~repro.dsa.engine.io_demand` lists them (the buffer is not
         read).  The result is what walking each operand alone, one after
         the other, gives: :meth:`translate_range` for
         ``service_fault=True`` (BOF=1), :meth:`translate_range_partial`
@@ -304,12 +304,12 @@ class DeviceAtc:
         if hits:
             self.hits += hits
             if self._m_hits is not None:
-                self._m_hits.add(hits)
+                self._m_hits.value += hits
         if misses:
             # Each inline ATC miss was one IOTLB lookup.
             self.misses += misses
             if self._m_misses is not None:
-                self._m_misses.add(misses)
+                self._m_misses.value += misses
             self.iommu.count_walk(misses, iotlb_misses)
         return worst, faults, fault_offset, fault_va
 

@@ -103,6 +103,9 @@ class DsaDevice:
             self.groups[group_cfg.group_id] = group
 
         self._spaces: Dict[int, AddressSpace] = {}
+        #: Destination bytes submitted and not yet written, declared to
+        #: the LLC as this device's streaming-write footprint (``name``
+        #: is its LLC agent, see :attr:`agent`) on every change.
         self._inflight_write_bytes = 0.0
         self.descriptors_completed = 0
         self.bytes_processed = 0
@@ -154,14 +157,20 @@ class DsaDevice:
         if wq is None:
             wq = self.wq(wq_id)  # raises, naming the device
         if wq.submit(descriptor, source):
-            self._inflight_write_bytes += estimate_write_bytes(descriptor)
-            self._update_llc_pressure()
+            inflight = self._inflight_write_bytes = (
+                self._inflight_write_bytes + estimate_write_bytes(descriptor)
+            )
+            self.memsys.llc.register_io_stream(
+                self.name, inflight, self.timing.fabric_bandwidth if inflight > 0 else 0.0
+            )
             return True
         return False
 
     def _update_llc_pressure(self) -> None:
+        """Declare the in-flight write bytes as this device's LLC stream
+        (:meth:`SharedLLC.register_io_stream`, which the submit and
+        completion paths call directly)."""
         inflight = self._inflight_write_bytes
-        # ``name`` is the device's LLC agent (see :attr:`agent`).
         self.memsys.llc.register_io_stream(
             self.name, inflight, self.timing.fabric_bandwidth if inflight > 0 else 0.0
         )
@@ -234,20 +243,23 @@ class DsaDevice:
 
     # -- completion (called by engines) --------------------------------------------------
     def _complete(self, descriptor: Descriptor) -> None:
-        if isinstance(descriptor, WorkDescriptor):
+        if type(descriptor) is WorkDescriptor:
             # Batch containers don't carry payload themselves: their
             # write bytes were added at submit and are drained here as
             # each member work descriptor completes.
+            size = descriptor.size
             self.descriptors_completed += 1
-            self.bytes_processed += descriptor.size
-            self._m_completed.add()
-            self._m_bytes.add(descriptor.size)
-            self._inflight_write_bytes = max(
+            self.bytes_processed += size
+            self._m_completed.value += 1
+            self._m_bytes.value += size
+            inflight = self._inflight_write_bytes = max(
                 0.0, self._inflight_write_bytes - estimate_write_bytes(descriptor)
             )
-            self._update_llc_pressure()
+            self.memsys.llc.register_io_stream(
+                self.name, inflight, self.timing.fabric_bandwidth if inflight > 0 else 0.0
+            )
         event = descriptor.completion_event
-        if event is not None and not event.triggered:
+        if event is not None and not event._triggered:
             event.succeed(descriptor)
 
     def _complete_unrun(self, descriptor: Descriptor) -> None:

@@ -20,7 +20,6 @@ processes (docs/PERFORMANCE.md §9, §11).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.dsa.descriptor import BatchDescriptor, WorkDescriptor
@@ -44,44 +43,33 @@ _CACHE_CONTROL = int(DescriptorFlags.CACHE_CONTROL)
 _BLOCK_ON_FAULT = int(DescriptorFlags.BLOCK_ON_FAULT)
 
 
-@dataclass
-class IoDemand:
-    """Byte movement a descriptor asks of the memory system.
+#: One operand: ``(buffer, va, nbytes)``.  ``va`` is the descriptor's
+#: operand address, which may sit *inside* ``buffer`` — a resumed BOF=0
+#: clone starts at the fault offset, so translation must cover
+#: ``[va, va + nbytes)``, not the containing buffer's base.
+Operand = Tuple[Buffer, int, int]
 
-    Entries are ``(buffer, va, nbytes)``: ``va`` is the descriptor's
-    operand address, which may sit *inside* ``buffer`` — a resumed
-    BOF=0 clone starts at the fault offset, so translation must cover
-    ``[va, va + nbytes)``, not the containing buffer's base.
+
+def io_demand(work: WorkDescriptor, space: AddressSpace) -> Tuple[List[Operand], List[Operand]]:
+    """Resolve a descriptor's buffers: its ``(reads, writes)`` operands.
+
+    A MEMMOVE or COPY_CRC, the common case, is resolved inline by
+    :meth:`_DataPhase.start`; it gives the same operands as here.
     """
-
-    reads: List[Tuple[Buffer, int, int]] = field(default_factory=list)
-    writes: List[Tuple[Buffer, int, int]] = field(default_factory=list)
-
-
-def io_demand(work: WorkDescriptor, space: AddressSpace) -> IoDemand:
-    """Resolve a descriptor's buffers and compute its byte movement."""
     op, size = work.opcode, work.size
-    if op is Opcode.MEMMOVE or op is Opcode.COPY_CRC:
-        # The common case, without the closures below.
-        if size <= 0:
-            return IoDemand()
-        src, dst = work.src, work.dst
-        return IoDemand(
-            reads=[(space.buffer_at(src), src, size)],
-            writes=[(space.buffer_at(dst), dst, size)],
-        )
-    demand = IoDemand()
+    reads: List[Operand] = []
+    writes: List[Operand] = []
 
     def read(va: int, nbytes: int) -> None:
         if nbytes > 0:
-            demand.reads.append((space.buffer_at(va), va, nbytes))
+            reads.append((space.buffer_at(va), va, nbytes))
 
     def write(va: int, nbytes: int) -> None:
         if nbytes > 0:
-            demand.writes.append((space.buffer_at(va), va, nbytes))
+            writes.append((space.buffer_at(va), va, nbytes))
 
     if op in (Opcode.NOOP, Opcode.DRAIN, Opcode.CACHE_FLUSH):
-        return demand
+        return reads, writes
     if op is Opcode.DUALCAST:
         read(work.src, size)
         write(work.dst, size)
@@ -101,20 +89,18 @@ def io_demand(work: WorkDescriptor, space: AddressSpace) -> IoDemand:
         write(work.dst, size)
     elif op in (Opcode.COMPARE_PATTERN, Opcode.CRCGEN, Opcode.DIF_CHECK):
         read(work.src, size)
-    elif op in (Opcode.DIF_INSERT, Opcode.DIF_STRIP, Opcode.DIF_UPDATE):
+    elif op in (
+        Opcode.MEMMOVE,
+        Opcode.COPY_CRC,
+        Opcode.DIF_INSERT,
+        Opcode.DIF_STRIP,
+        Opcode.DIF_UPDATE,
+    ):
         read(work.src, size)
         write(work.dst, size)
     else:  # pragma: no cover - exhaustiveness guard
         raise NotImplementedError(f"no IO profile for {op!r}")
-    return demand
-
-
-def _all_backed(operands: List[Tuple[Buffer, int, int]]) -> bool:
-    """True when there are operands and every one's buffer holds bytes."""
-    for buffer, _va, _nbytes in operands:
-        if not buffer.backed:
-            return False
-    return bool(operands)
+    return reads, writes
 
 
 class ProcessingEngine:
@@ -191,10 +177,12 @@ class ProcessingEngine:
         injector = inject.active
         if injector is not None and injector.device_reset(self.env._now):
             self._abort_reset(descriptor)
-        elif isinstance(descriptor, BatchDescriptor):
+        elif type(descriptor) is BatchDescriptor:
             self._start_batch(descriptor)
         else:
-            self._admit(descriptor)
+            # The serial stage's setup (what _admit does for a member).
+            self._work = descriptor
+            self.env.call_in(self.timing.pe_setup_ns, self._set_up)
 
     def _abort_reset(self, descriptor: Descriptor, counter: str = "reset_aborts") -> None:
         """Transient reset or driver disable: abort mid-flight, drop the ATC.
@@ -319,8 +307,13 @@ class ProcessingEngine:
         batch_events = self._batch_events
         if batch_events and int(work.flags) & _FENCE:
             self.env.all_of(batch_events).callbacks.append(self._fenced)
+        elif self.free_read_buffers:
+            # Take a read buffer, or stall until a data phase frees one,
+            # as _fenced does after a FENCE wait.
+            self.free_read_buffers -= 1
+            self.env.call_in(0.0, self._admitted)
         else:
-            self._fenced()
+            self._buffer_wait = True
 
     def _drained(self, _event: Optional[Event] = None) -> None:
         self._work.completion.status = StatusCode.SUCCESS
@@ -333,8 +326,9 @@ class ProcessingEngine:
         self.device._complete(work)
         self._serial_done()
 
-    def _fenced(self, _event: Optional[Event] = None) -> None:
-        """Take a read buffer, or stall until a data phase frees one."""
+    def _fenced(self, _event: Event) -> None:
+        """The FENCE wait is over: take a read buffer, or stall until a
+        data phase frees one."""
         if self.free_read_buffers:
             self.free_read_buffers -= 1
             self.env.call_in(0.0, self._admitted)
@@ -346,11 +340,20 @@ class ProcessingEngine:
         # Boot entry: the data phase starts when this pops.
         self.env.call_in(0.0, phase.start)
         self._inflight[phase] = None
-        if self._batch_events is not None:
+        if self._members is None:
+            # The serial stage is free: ask the arbiter (as _idle does).
+            self.group.arbiter.request(self)
+        else:
             self._batch_events.append(phase.exit_event())
-        self._serial_done()
+            self._next_member()
 
-    def _build_flows(self, work: WorkDescriptor, demand: IoDemand, callback):
+    def _build_flows(
+        self,
+        work: WorkDescriptor,
+        reads: List[Operand],
+        writes: List[Operand],
+        callback,
+    ):
         """Start the bandwidth flows for one descriptor's data.
 
         Each flow reports to ``callback`` when it drains (see
@@ -367,23 +370,26 @@ class ProcessingEngine:
         write_tail = 0.0
 
         read_bytes = 0
-        read_nodes = set()
-        for buffer, _va, nbytes in demand.reads:
+        # Nodes the memory-link reads come from: a tuple, as a
+        # descriptor has one or two reads.
+        read_nodes: Tuple[int, ...] = ()
+        for buffer, _va, nbytes in reads:
             read_bytes += nbytes
             if buffer.in_llc:
                 continue  # LLC sources don't touch the memory links
-            read_nodes.add(buffer.node)
-            memsys.read_flow(buffer.node, nbytes, socket, callback)
+            node = buffer.node
+            read_nodes += (node,)
+            memsys.read_flow(node, nbytes, socket, callback)
             flows += 1
 
         write_bytes = 0
         leaked: Optional[List[int]] = None
         cache_control = int(work.flags) & _CACHE_CONTROL
-        for buffer, _va, nbytes in demand.writes:
+        for buffer, _va, nbytes in writes:
             write_bytes += nbytes
             if cache_control or buffer.in_llc:
                 # G3: allocate the destination into the LLC directly.
-                llc.touch(agent, nbytes, io=False, now=now)
+                llc.touch(agent, nbytes, None, False, now)
                 write_tail = max(write_tail, llc.write_latency)
             elif llc.leaky:
                 # Leaky-DMA regime: writes spill to DRAM and the write
@@ -395,17 +401,13 @@ class ProcessingEngine:
                 flows += 1
                 write_tail = max(
                     write_tail,
-                    memsys.write_latency(
-                        buffer.node,
-                        socket,
-                        same_node_as_read=buffer.node in read_nodes,
-                    ),
+                    memsys.write_latency(buffer.node, socket, False, buffer.node in read_nodes),
                 )
             else:
                 # Default DDIO path: absorbed by the LLC's IO ways.
                 # Non-DRAM destinations (CXL, PMEM) must still reach
                 # their medium, so their write links throttle the flow.
-                llc.touch(agent, nbytes, io=True, now=now)
+                llc.touch(agent, nbytes, None, True, now)
                 route = self._ddio_routes.get(buffer.node)
                 if route is None:
                     hop, _remote = memsys.topology.crossing_cost(socket, buffer.node)
@@ -450,7 +452,8 @@ class _DataPhase:
         "work",
         "traced",
         "space",
-        "demand",
+        "reads",
+        "writes",
         "operands",
         "remote_homes",
         "faults",
@@ -493,7 +496,7 @@ class _DataPhase:
         else:
             pe.free_read_buffers += 1
         pe.descriptors_processed += 1
-        pe._m_data_phases.add()
+        pe._m_data_phases.value += 1
         if self.exit is not None:
             self.exit.succeed()
 
@@ -518,7 +521,16 @@ class _DataPhase:
                 space = device.space_for(work.pasid)  # raises, naming the PASID
             self.space = space
             try:
-                demand = io_demand(work, space)
+                op = work.opcode
+                if op is Opcode.MEMMOVE or op is Opcode.COPY_CRC:
+                    # io_demand's operands for the common case, inline;
+                    # validate() admits no size <= 0 for these opcodes.
+                    size = work.size
+                    src, dst = work.src, work.dst
+                    reads = [(space.buffer_at(src), src, size)]
+                    writes = [(space.buffer_at(dst), dst, size)]
+                else:
+                    reads, writes = io_demand(work, space)
             except KeyError:
                 # Address not mapped in this PASID's space: the IOMMU
                 # reports an unrecoverable translation fault.
@@ -529,13 +541,14 @@ class _DataPhase:
                     tracer.end(env.now, "translate", "translate", agent, track)
                 env.call_in(pe.timing.completion_write_ns, self._fault_written)
                 return
-            self.demand = demand
+            self.reads = reads
+            self.writes = writes
 
             # Remote-socket operands translate at their home socket's
             # IOMMU: a UPI round trip plus queueing behind other remote
             # translations (fleet platforms only — see
             # MemorySystem.ats_acquire).
-            operands = self.operands = demand.reads + demand.writes
+            operands = self.operands = reads + writes
             memsys = device.memsys
             if memsys.model_ats_contention and memsys.topology.sockets > 1:
                 key = ()
@@ -608,7 +621,24 @@ class _DataPhase:
             if work.opcode is Opcode.CACHE_FLUSH:
                 env.call_in(work.size / pe.timing.cache_flush_bandwidth, self._stored)
                 return
-            self._read()
+            # The source access latency, as _read computes it for a
+            # BOF=0 head.
+            latencies = pe._read_latencies
+            read_ns = 0.0
+            for buffer, _va, _nbytes in self.reads:
+                key = (buffer.node, buffer.in_llc)
+                try:
+                    latency = latencies[key]
+                except KeyError:
+                    latency = latencies[key] = device.memsys.read_latency(
+                        buffer.node, device.socket, buffer.in_llc
+                    )
+                if latency > read_ns:
+                    read_ns = latency
+            if read_ns:
+                env.call_in(read_ns, self._stream)
+            else:
+                self._stream()
         except BaseException:
             self._fail()
             raise
@@ -636,11 +666,8 @@ class _DataPhase:
                 tracer.end(env.now, "translate", "translate", agent, track)
             if fault_offset > 0:
                 # Move the completed head through the normal data path.
-                demand = self.demand
-                self.demand = IoDemand(
-                    reads=[(b, va, min(n, fault_offset)) for b, va, n in demand.reads],
-                    writes=[(b, va, min(n, fault_offset)) for b, va, n in demand.writes],
-                )
+                self.reads = [(b, va, min(n, fault_offset)) for b, va, n in self.reads]
+                self.writes = [(b, va, min(n, fault_offset)) for b, va, n in self.writes]
                 if self.traced:
                     tracer.begin(
                         env.now, "execute", "execute", agent, track,
@@ -654,11 +681,12 @@ class _DataPhase:
             raise
 
     def _read(self) -> None:
-        """Source access latency (critical path, once per descriptor)."""
+        """Source access latency (critical path, once per descriptor) of
+        a BOF=0 head; :meth:`_translated` inlines it for a whole copy."""
         pe = self.pe
         latencies = pe._read_latencies
         read_ns = 0.0
-        for buffer, _va, _nbytes in self.demand.reads:
+        for buffer, _va, _nbytes in self.reads:
             key = (buffer.node, buffer.in_llc)
             try:
                 latency = latencies[key]
@@ -677,7 +705,7 @@ class _DataPhase:
     def _stream(self) -> None:
         try:
             self.pending, self.write_tail = self.pe._build_flows(
-                self.work, self.demand, self._flow_done
+                self.work, self.reads, self.writes, self._flow_done
             )
             if not self.pending:
                 self._write()
@@ -712,9 +740,16 @@ class _DataPhase:
         work = self.work
         fault_offset = self.fault_offset
         try:
+            # The real byte operation runs when there are operands and
+            # every one's buffer holds bytes.
+            operands = self.operands
+            backed = bool(operands)
+            for buffer, _va, _nbytes in operands:
+                if buffer._data is None:
+                    backed = False
+                    break
             if fault_offset is None:
-                # Run the real byte operation when the buffers are backed.
-                if _all_backed(self.operands):
+                if backed:
                     functional.execute(work, self.space)
                 else:
                     completion = work.completion
@@ -722,7 +757,7 @@ class _DataPhase:
                     completion.bytes_completed = work.size
                 env.call_in(pe.timing.completion_write_ns, self._written)
                 return
-            if work.opcode in RESUMABLE_OPCODES and _all_backed(self.operands):
+            if backed and work.opcode in RESUMABLE_OPCODES:
                 functional.execute(work.clone_range(0, fault_offset), self.space)
             if self.traced:
                 env.tracer.end(env.now, "execute", "execute", pe.agent, work.trace_track)
@@ -759,7 +794,17 @@ class _DataPhase:
                     else {"status": work.completion.status.name},
                 )
             pe.device._complete(work)
-            self.retire()
+            # Retire as retire() does, without its frame.
+            del pe._inflight[self]
+            if pe._buffer_wait:
+                pe._buffer_wait = False
+                env.call_in(0.0, pe._admitted)
+            else:
+                pe.free_read_buffers += 1
+            pe.descriptors_processed += 1
+            pe._m_data_phases.value += 1
+            if self.exit is not None:
+                self.exit.succeed()
         except BaseException:
             self._fail()
             raise

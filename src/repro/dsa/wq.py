@@ -47,6 +47,8 @@ class WorkQueue:
         "env",
         "config",
         "name",
+        "_shared",
+        "_size",
         "_items",
         "on_enqueue",
         "enqueued",
@@ -65,10 +67,15 @@ class WorkQueue:
         self.env = env
         self.config = config
         self.name = f"{owner}.wq{config.wq_id}"
+        #: Read once: a WQ keeps its (frozen) config for life.
+        self._shared = config.mode is WqMode.SHARED
+        self._size = config.size
         # deque: pop() drains from the head; list.pop(0) made large-WQ
         # drains quadratic.
         self._items: Deque[Descriptor] = deque()
-        #: Set by the owning group; fired on every successful enqueue.
+        #: Fired on a successful enqueue while set.  The group's arbiter
+        #: sets it only while a PE waits for work (see
+        #: :class:`~repro.dsa.arbiter.GroupArbiter`).
         self.on_enqueue: Optional[Callable[["WorkQueue"], None]] = None
         self.enqueued = 0
         self.rejected = 0
@@ -106,7 +113,7 @@ class WorkQueue:
 
     @property
     def is_full(self) -> bool:
-        return len(self._items) >= self.config.size
+        return len(self._items) >= self._size
 
     @property
     def is_empty(self) -> bool:
@@ -119,12 +126,13 @@ class WorkQueue:
         layer) so rejects are attributable per submitter on a shared
         queue; ``None`` keeps the aggregate-only accounting.
         """
-        if self.config.mode is WqMode.SHARED:
+        shared = self._shared
+        if shared:
             injector = inject.active
             if injector is not None and injector.swq_reject():
                 # Injected congestion: bounce the ENQCMD as if full.
                 self.rejected += 1
-                self._m_rejected.add()
+                self._m_rejected.value += 1
                 if self._m_injected_rejects is None:
                     self._m_injected_rejects = self.env.metrics.counter(
                         f"{self.name}.injected_rejects"
@@ -133,12 +141,16 @@ class WorkQueue:
                 if source is not None:
                     self._source_counter(self._m_source_rejected, source, "rejected").add()
                 return False
-        if len(self._items) >= self.config.size:
+        items = self._items
+        if len(items) >= self._size:
             self.rejected += 1
-            self._m_rejected.add()
+            self._m_rejected.value += 1
             if source is not None:
-                self._source_counter(self._m_source_rejected, source, "rejected").add()
-            if self.config.mode is WqMode.DEDICATED:
+                counter = self._m_source_rejected.get(source)
+                if counter is None:
+                    counter = self._source_counter(self._m_source_rejected, source, "rejected")
+                counter.value += 1
+            if not shared:
                 raise SubmissionError(
                     f"MOVDIR64B to full DWQ {self.wq_id} "
                     f"({self.occupancy}/{self.size} entries) — software must "
@@ -148,18 +160,18 @@ class WorkQueue:
         env = self.env
         now = env._now
         descriptor.times.submitted = now
-        items = self._items
         items.append(descriptor)
         self.enqueued += 1
-        self._m_enqueued.add()
+        self._m_enqueued.value += 1
         self._m_occupancy.update(now, len(items))
         tracer = env.tracer
         if tracer.enabled:
             if descriptor.trace_track < 0:
                 descriptor.trace_track = tracer.next_track()
             tracer.begin(now, "queued", "queue", self.name, descriptor.trace_track)
-        if self.on_enqueue is not None:
-            self.on_enqueue(self)
+        on_enqueue = self.on_enqueue
+        if on_enqueue is not None:
+            on_enqueue(self)
         return True
 
     def record_retries(self, retries: int, source: Optional[str] = None) -> None:

@@ -91,7 +91,18 @@ class SharedLLC:
         inserted = max(0.0, target - current)
         if inserted == 0.0:
             return 0.0
-        self._evict_for(region, capacity, inserted, now)
+        # Make room: when the insert overflows the region, every
+        # resident agent (this one included) shrinks by one factor.
+        resident = sum(region.values())
+        overflow = resident + inserted - capacity
+        if overflow > 0:
+            scale = max(0.0, (resident - overflow) / resident) if resident else 0.0
+            # Only values change, so the dict can be walked in place.
+            for victim in region:
+                region[victim] *= scale
+            if self._history is not None:
+                for victim in region:
+                    self._record(victim, now)
         region[agent] = region.get(agent, 0.0) + inserted
         if self._history is not None:
             self._record(agent, now)
@@ -131,21 +142,6 @@ class SharedLLC:
         self._main.pop(agent, None)
         self._io.pop(agent, None)
         self._record(agent, now)
-
-    def _evict_for(
-        self, region: Dict[str, float], capacity: float, incoming: float, now: float
-    ) -> None:
-        resident = sum(region.values())
-        overflow = resident + incoming - capacity
-        if overflow <= 0:
-            return
-        scale = max(0.0, (resident - overflow) / resident) if resident else 0.0
-        # Only values change, so the dict can be walked in place.
-        for victim in region:
-            region[victim] *= scale
-        if self._history is not None:
-            for victim in region:
-                self._record(victim, now)
 
     # -- leaky-DMA pressure tracking ---------------------------------------
     def register_io_stream(self, agent: str, footprint: float, demand_rate: float = 0.0) -> None:

@@ -291,7 +291,7 @@ class MemorySystem:
         if route is None:
             route = self._route(node_id, from_socket, False)
         counter, transfer = route
-        counter.add(nbytes)
+        counter.value += nbytes
         return transfer(nbytes, 1.0, callback)
 
     def write_flow(
@@ -305,7 +305,7 @@ class MemorySystem:
         if route is None:
             route = self._route(node_id, from_socket, True)
         counter, transfer = route
-        counter.add(nbytes)
+        counter.value += nbytes
         return transfer(nbytes, 1.0, callback)
 
     def _route(self, node_id: int, from_socket: int, write: bool) -> tuple:

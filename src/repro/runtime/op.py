@@ -58,6 +58,14 @@ class WaitMode(enum.Enum):
     INTERRUPT = "interrupt"  # sleep until the completion interrupt
 
 
+#: Each mode's ``slot`` (its definition order) keys a core's
+#: ``wait_counters``, so a wake hashes no member (``Enum.__hash__`` is a
+#: Python-level call), as ``CycleCategory.slot`` indexes its totals.
+for _slot, _mode in enumerate(WaitMode):
+    _mode.slot = _slot
+del _slot, _mode
+
+
 #: Completion statuses the recovery loop treats as retryable.
 RETRYABLE_STATUSES = (StatusCode.PAGE_FAULT, StatusCode.DEVICE_DISABLED)
 
@@ -494,9 +502,9 @@ class RuntimeOp:
             core.account(_IDLE, waited)
             delay = costs.interrupt_ns
         counters = core.wait_counters
-        counter = counters.get(mode)
+        counter = counters.get(mode.slot)
         if counter is None:
-            counter = counters[mode] = env.metrics.counter(
+            counter = counters[mode.slot] = env.metrics.counter(
                 f"{core.trace_agent}.wait.{mode.value}_ns"
             )
         counter.add(waited)

@@ -102,6 +102,10 @@ class ArrivalProcess:
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
+        if n == 0:
+            # Nothing to hand out: no draw, and no buffer to slice yet
+            # on a fresh process.
+            return np.empty(0)
         buf = self._buf
         leftover = 0 if buf is None else len(buf) - self._pos
         if leftover >= n:

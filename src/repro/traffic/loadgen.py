@@ -216,41 +216,42 @@ class _DsaRequest:
         self.descriptor = descriptor
         self.attempts = 0
         self.failed_device = None
-        self._place()
+        device = state.device
+        if device is None:
+            self._place()
+            return
+        # Statically placed: straight to the first ENQCMD.
+        self.device = device
+        self.wq_id = spec.wq_id
+        self.wq = state.wq
+        gen.platform.env.call_in(device.timing.enqcmd_ns, self._submit)
 
     def _place(self) -> None:
+        """Fleet placement: the scheduler picks the device (and WQ)."""
         gen = self.gen
         state = self.state
         scheduler = gen.scheduler
-        if scheduler is not None and state.device is None:
-            env = gen.platform.env
-            failed_device = self.failed_device
-            try:
-                portal = scheduler.select(
-                    socket=state.socket,
-                    exclude=(failed_device,) if failed_device else (),
-                )
-            except RuntimeError:
-                # Fleet-wide device loss: nothing live to place on.
-                env.metrics.counter("traffic.fleet.no_live_portal").add()
-                if failed_device is not None:
-                    scheduler.record_failover(failed_device, None)
-                self._drop()
-                return
+        env = gen.platform.env
+        failed_device = self.failed_device
+        try:
+            portal = scheduler.select(
+                socket=state.socket,
+                exclude=(failed_device,) if failed_device else (),
+            )
+        except RuntimeError:
+            # Fleet-wide device loss: nothing live to place on.
+            env.metrics.counter("traffic.fleet.no_live_portal").add()
             if failed_device is not None:
-                scheduler.record_failover(failed_device, portal.device.name)
-                env.metrics.counter("traffic.fleet.reroutes").add()
-                self.failed_device = None
-            device = portal.device
-            wq_id = portal.wq_id
-            wq = device.wq(wq_id)
-        else:
-            device = state.device
-            wq_id = state.spec.wq_id
-            wq = state.wq
-        self.device = device
-        self.wq_id = wq_id
-        self.wq = wq
+                scheduler.record_failover(failed_device, None)
+            self._drop()
+            return
+        if failed_device is not None:
+            scheduler.record_failover(failed_device, portal.device.name)
+            env.metrics.counter("traffic.fleet.reroutes").add()
+            self.failed_device = None
+        device = self.device = portal.device
+        wq_id = self.wq_id = portal.wq_id
+        self.wq = device.wq(wq_id)
         self._enqcmd()
 
     def _enqcmd(self) -> None:
@@ -259,18 +260,18 @@ class _DsaRequest:
 
     def _submit(self) -> None:
         spec = self.state.spec
-        if self.device.submit(self.descriptor, self.wq_id, source=spec.name):
+        descriptor = self.descriptor
+        if self.device.submit(descriptor, self.wq_id, spec.name):
             if self.attempts:
-                self.wq.record_retries(self.attempts, source=spec.name)
-            self.descriptor.completion_event.callbacks.append(self._completed)
+                self.wq.record_retries(self.attempts, spec.name)
+            descriptor.completion_event.callbacks.append(self._completed)
             return
-        self.attempts += 1
-        attempts = self.attempts
+        attempts = self.attempts = self.attempts + 1
         if attempts > spec.max_retries:
             # Retry budget exhausted: shed the request.  The retries
             # still hit the WQ's attribution counters — congestion
             # must not vanish from the metrics when it sheds load.
-            self.wq.record_retries(attempts, source=spec.name)
+            self.wq.record_retries(attempts, spec.name)
             self._drop()
             return
         self.gen.platform.env.call_in(

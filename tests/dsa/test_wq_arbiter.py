@@ -186,6 +186,56 @@ class TestGroupArbiter:
         with pytest.raises(ValueError):
             GroupArbiter(env, [])
 
+    def test_enqueue_while_every_pe_busy_waits_for_next_request(self):
+        env = Environment()
+        wqs = self._wqs(env, [1, 2])
+        arbiter = GroupArbiter(env, wqs)
+        pe = RecordingPe(env)
+        first, second = make_desc(), make_desc()
+        wqs[0].submit(first)
+        arbiter.request(pe)  # busy with ``first`` from here on
+        env.run()
+        assert all(wq.on_enqueue is None for wq in wqs)
+        wqs[1].submit(second)
+        assert wqs[1].occupancy == 1
+        assert arbiter.dispatched == 1
+        arbiter.request(pe)
+        assert wqs[1].occupancy == 0
+        env.run()
+        assert pe.dispatched == [(0.0, first), (0.0, second)]
+
+    def test_enqueue_while_a_pe_waits_is_handed_over_at_once(self):
+        env = Environment()
+        wqs = self._wqs(env, [1, 2])
+        arbiter = GroupArbiter(env, wqs)
+        pe = RecordingPe(env)
+        arbiter.request(pe)
+        assert all(wq.on_enqueue is not None for wq in wqs)
+        desc = make_desc()
+        wqs[1].submit(desc)
+        assert pe._descriptor is desc
+        assert wqs[1].occupancy == 0
+        assert arbiter.dispatched == 1
+        env.run()
+        assert pe.dispatched == [(0.0, desc)]
+
+    def test_hook_cleared_when_no_pe_waits(self):
+        env = Environment()
+        wqs = self._wqs(env, [1, 1])
+        arbiter = GroupArbiter(env, wqs)
+        first, second = RecordingPe(env), RecordingPe(env)
+        arbiter.request(first)
+        arbiter.request(second)
+        wqs[0].submit(make_desc())
+        # ``second`` still waits: the hook stays on every WQ.
+        assert all(wq.on_enqueue is not None for wq in wqs)
+        wqs[1].submit(make_desc())
+        assert all(wq.on_enqueue is None for wq in wqs)
+        # With no PE waiting, an enqueue stays queued for a request.
+        wqs[0].submit(make_desc())
+        assert wqs[0].occupancy == 1
+        assert arbiter.dispatched == 2
+
 
 class TestDeviceAtc:
     def _atc(self, entries=4):

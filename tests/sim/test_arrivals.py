@@ -77,6 +77,25 @@ def test_times_continues_after_scalar_draws():
         mixed.times(-1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PoissonProcess(1.0, rng=1, batch=8),
+    lambda: BurstyProcess(1.0, cv2=4.0, rng=1, batch=8),
+])
+def test_times_zero_draws_nothing(make):
+    fresh = make()
+    empty = fresh.times(0, start=5.0)
+    assert empty.shape == (0,)
+    assert empty.dtype == np.float64
+    reference = make()
+    assert fresh.next_gap() == reference.next_gap()
+    # After some draws, mid-buffer and at a refill boundary.
+    for draws in (3, 5):
+        for _ in range(draws):
+            assert fresh.next_gap() == reference.next_gap()
+        assert fresh.times(0).shape == (0,)
+        assert fresh.next_gap() == reference.next_gap()
+
+
 def test_installed_seed_reproduces_streams():
     # Worker-rebuild path: same installed seed + same stream id -> the
     # identical arrival schedule, which is what --jobs N relies on.
