@@ -57,8 +57,11 @@ class DeviceAtc:
         self.hits = 0
         self.misses = 0
         self._metrics = metrics
-        self._m_hits = metrics.counter(f"{name}.hits") if metrics else None
-        self._m_misses = metrics.counter(f"{name}.misses") if metrics else None
+        # ``is not None``: an empty registry is falsy (it defines __len__).
+        self._m_hits = metrics.counter(f"{name}.hits") if metrics is not None else None
+        self._m_misses = (
+            metrics.counter(f"{name}.misses") if metrics is not None else None
+        )
 
     def __len__(self) -> int:
         return len(self._cache)

@@ -18,7 +18,7 @@ So every calendar entry is pushed at the same ``(when, seq)`` as the
 generator form that preceded it, without a ``Process``, a ``Timeout``
 per stage, or a resume through a ``yield from`` chain per entry.
 
-Two ways to run an op:
+Three ways to run an op:
 
 * **Bare**: push ``op.start`` (``env.call_in(0, op.start)``) and wait on
   ``op.done``, which the last stage ``succeed``\\ s like a returning
@@ -29,6 +29,11 @@ Two ways to run an op:
   from`` of the old generator returned.  ``prepare_descriptor``,
   ``submit``, ``wait_for``, the ``Dml`` calls and ``recover`` are such
   shims.
+* **Into a continuation**: ``op.start_into(then)`` runs the first stage
+  now and settles ``op.done`` in place straight into ``then(done)``,
+  with no calendar entry and no generator: a bare-entry driver chains
+  its next stage this way (``repro.workloads``' libfabric SAR and vhost
+  drivers).
 
 Errors surface where the generators raised them: a synchronous error
 (a bad ``max_wait_ns``, no live portal for a hardware path) raises from
@@ -40,7 +45,7 @@ Errors surface where the generators raised them: a synchronous error
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.cpu.core import CpuCore, CycleCategory
 from repro.cpu.instructions import InstructionCosts
@@ -166,16 +171,24 @@ class RuntimeOp:
         max_retries: Optional[int] = None,
         source: Optional[str] = None,
         prepare: bool = False,
+        wait: Optional[WaitMode] = None,
     ) -> "RuntimeOp":
         """``submit`` (after ``prepare_descriptor`` when ``prepare``):
-        finishes with the ENQCMD retry count."""
+        finishes with the ENQCMD retry count; or, given a ``wait`` mode,
+        goes on to ``wait_for`` in that mode and finishes with the time
+        waited."""
         self.descriptor = descriptor
         self.portal = portal
         self.max_retries = max_retries
         self.source = source
         self.allocate = False
         self._on_prepared = RuntimeOp._submit
-        self._on_submitted = RuntimeOp._finish
+        if wait is None:
+            self._on_submitted = RuntimeOp._finish
+        else:
+            self.mode = wait
+            self._on_submitted = RuntimeOp._wait
+            self._on_waited = RuntimeOp._finish
         self._entry = RuntimeOp._prepare if prepare else RuntimeOp._submit
         return self
 
@@ -257,6 +270,16 @@ class RuntimeOp:
             return done._value
         return (yield done)
 
+    def start_into(self, then: Callable[[Event], None]) -> None:
+        """Run the first stage now; the last stage settles ``done`` in
+        place and calls ``then(done)`` inside its own pop, with no
+        calendar entry: the bare-entry form of ``yield from op.run()``.
+        A submission error that ``then`` does not ``defuse`` raises out
+        of the run loop, as from a process that did not catch it."""
+        self._in_place = True
+        self.done.callbacks.append(then)
+        self._entry(self)
+
     def _finish(self, value=None) -> None:
         if self._in_place:
             self._settle(True, value)
@@ -288,6 +311,8 @@ class RuntimeOp:
         done._processed = True
         for callback in callbacks:
             callback(done)
+        if not ok and not done._defused:
+            raise value
 
     # -- preparation (paper §4.2: allocation, field writes) ----------------------
     def _prepare(self) -> None:

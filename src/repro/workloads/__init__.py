@@ -6,6 +6,14 @@
 * :mod:`repro.workloads.cachelib` — CacheLib/CacheBench (Appendix B).
 * :mod:`repro.workloads.spdk` — SPDK NVMe/TCP target (Appendix C).
 * :mod:`repro.workloads.libfabric` — libfabric/MPI/BERT (Appendix A).
+
+The libfabric SAR sender, SPDK's initiator streams and vhost's
+virtqueue threads run as chains of bare calendar entries (one object
+per stream, one stage method per hop; docs/ARCHITECTURE.md, Layer 1),
+pushing the same ``(when, seq)`` keys the generator processes they
+replaced did.  The microbench and CacheLib drivers stay generator
+processes: their resumes cost under 1% of ``run all --quick``'s wall
+time (docs/PERFORMANCE.md §16).
 """
 
 from repro.workloads.microbench import (

@@ -9,24 +9,26 @@ serialized (effective bandwidth ≈ half a core's memcpy rate); with DSA
 both hops are offloaded and deeply pipelined, which is where the
 published 4.7–5.1x large-message speedups come from.
 
-The transfer engine is a real simulation against the DSA device model;
-AllReduce and the BERT step compose measured transfer times.
+The transfer engine is a real simulation against the DSA device model,
+driven by :class:`_SarSender`, a chain of bare calendar entries; each
+DSA chunk is one :class:`~repro.runtime.op.RuntimeOp` whose batch
+members recycle through a descriptor pool.  AllReduce and the BERT step
+compose measured transfer times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.cpu.core import CpuCore, CycleCategory
+from repro.cpu.core import CycleCategory
 from repro.dsa.config import DeviceConfig
-from repro.dsa.descriptor import BatchDescriptor, WorkDescriptor
+from repro.dsa.descriptor import BatchDescriptor, DescriptorPool, WorkDescriptor
 from repro.dsa.opcodes import DescriptorFlags, Opcode
 from repro.mem.address import AddressSpace
 from repro.platform import Platform, spr_platform
 from repro.runtime.driver import Portal
-from repro.runtime.submit import prepare_descriptor, submit
-from repro.runtime.wait import WaitMode, wait_for
+from repro.runtime.op import RuntimeOp, WaitMode
 
 KB = 1024
 MB = 1024 * KB
@@ -34,6 +36,8 @@ MB = 1024 * KB
 #: Completion record requested, page faults blocked on: every
 #: descriptor this workload builds.
 _COMPLETION_FLAGS = DescriptorFlags.REQUEST_COMPLETION | DescriptorFlags.BLOCK_ON_FAULT
+
+_BUSY = CycleCategory.BUSY
 
 
 @dataclass(frozen=True)
@@ -74,59 +78,139 @@ def _segments(size: int, params: SarParams):
     return sizes
 
 
-def _cpu_transfer(
-    platform: Platform, core: CpuCore, size: int, params: SarParams, ranks_active: int = 1
-) -> Generator:
-    """CPU SAR: copy-in then copy-out, serialized per segment."""
-    effective = min(
-        params.cpu_copy_bandwidth,
-        params.memory_stream_budget / max(1, ranks_active) / 2.0,
+class _SarSender:
+    """``window`` back-to-back SAR messages from one core, as a chain of
+    bare calendar entries.
+
+    Each stage books its core time (:meth:`CpuCore.account`) and pushes
+    the next stage with :meth:`Environment.call_in` for the same delay.
+
+    * CPU: per message the protocol handshake, then per segment its
+      bookkeeping and the two serialized hops through the bounce buffer.
+    * DSA: per message the handshake, then per chunk of up to
+      ``dsa_batch`` segments one :class:`~repro.runtime.op.RuntimeOp`
+      prepares, submits and spin-waits for one descriptor (a batch, or
+      the lone member of a one-segment chunk) and settles in place into
+      :meth:`_reaped`.  The chunk's members come from a
+      :class:`~repro.dsa.descriptor.DescriptorPool` and go back to it
+      only once the op has reaped the chunk's completion, when the
+      device holds none of them any more.
+    """
+
+    __slots__ = (
+        "env",
+        "core",
+        "costs",
+        "params",
+        "segments",
+        "messages",
+        "use_dsa",
+        "hop_bandwidth",
+        "portal",
+        "space",
+        "bounce",
+        "pool",
+        "_next",
+        "_members",
     )
-    yield core.spend(CycleCategory.BUSY, params.protocol_ns)
-    for segment in _segments(size, params):
-        yield core.spend(CycleCategory.BUSY, params.per_segment_ns)
+
+    def __init__(
+        self,
+        platform: Platform,
+        size: int,
+        params: SarParams,
+        window: int,
+        use_dsa: bool,
+        portal: Portal,
+        space: AddressSpace,
+        ranks_active: int = 1,
+    ):
+        self.env = platform.env
+        self.core = platform.core(0)
+        self.costs = platform.costs
+        self.params = params
+        self.segments = _segments(size, params)
+        self.messages = window
+        self.use_dsa = use_dsa
+        #: One SAR hop's copy bandwidth under the ranks' DRAM budget.
+        self.hop_bandwidth = min(
+            params.cpu_copy_bandwidth,
+            params.memory_stream_budget / max(1, ranks_active) / 2.0,
+        )
+        self.portal = portal
+        self.space = space
+        self.bounce = space.allocate(2 * params.segment_size + params.segment_size)
+        self.pool = DescriptorPool(limit=params.dsa_batch)
+
+    def start(self) -> None:
+        """Top of one message: the protocol handshake."""
+        if not self.messages:
+            return
+        self.messages -= 1
+        self._next = 0
+        delay = self.params.protocol_ns
+        self.core.account(_BUSY, delay)
+        self.env.call_in(delay, self._chunk if self.use_dsa else self._segment)
+
+    # -- CPU: copy-in then copy-out, serialized per segment --------------------
+    def _segment(self) -> None:
+        if self._next == len(self.segments):
+            self.start()
+            return
+        delay = self.params.per_segment_ns
+        self.core.account(_BUSY, delay)
+        self.env.call_in(delay, self._hops)
+
+    def _hops(self) -> None:
         # Two serialized hops through the bounce buffer.
-        yield core.spend(CycleCategory.BUSY, 2.0 * segment / effective)
+        delay = 2.0 * self.segments[self._next] / self.hop_bandwidth
+        self._next += 1
+        self.core.account(_BUSY, delay)
+        self.env.call_in(delay, self._segment)
 
-
-def _dsa_transfer(
-    platform: Platform,
-    core: CpuCore,
-    portal: Portal,
-    space: AddressSpace,
-    bounce,
-    size: int,
-    params: SarParams,
-) -> Generator:
-    """DSA SAR: both hops offloaded, segments batched and pipelined."""
-    env = platform.env
-    yield core.spend(CycleCategory.BUSY, params.protocol_ns)
-    segments = _segments(size, params)
-    for first in range(0, len(segments), params.dsa_batch):
-        chunk = segments[first : first + params.dsa_batch]
+    # -- DSA: both hops offloaded, segments batched and pipelined --------------
+    def _chunk(self) -> None:
+        first = self._next
+        if first == len(self.segments):
+            self.start()
+            return
+        params = self.params
+        chunk = self.segments[first : first + params.dsa_batch]
+        self._next = first + len(chunk)
+        pool = self.pool
+        pasid = self.space.pasid
+        src = self.bounce.va
+        dst = src + params.segment_size
         members = []
         for segment in chunk:
             # With SVM the device addresses both endpoints' memory
             # directly, so SAR's two bounce hops collapse into one
             # offloaded copy — the structural source of the large
             # published speedups (CPU pays both hops serially).
-            members.append(
-                WorkDescriptor(
-                    opcode=Opcode.MEMMOVE,
-                    pasid=space.pasid,
-                    flags=_COMPLETION_FLAGS,
-                    src=bounce.va,
-                    dst=bounce.va + params.segment_size,
-                    size=segment,
-                )
-            )
+            member = pool.acquire()
+            if member is None:
+                member = WorkDescriptor(opcode=Opcode.MEMMOVE)
+            member.opcode = Opcode.MEMMOVE
+            member.pasid = pasid
+            member.flags = _COMPLETION_FLAGS
+            member.src = src
+            member.dst = dst
+            member.size = segment
+            members.append(member)
+        self._members = members
         if len(members) == 1:
             unit = members[0]
         else:
-            unit = BatchDescriptor(descriptors=members, pasid=space.pasid)
-        yield from prepare_descriptor(env, core, unit, platform.costs)
-        yield from submit(env, core, portal, unit, platform.costs)
-        yield from wait_for(env, core, unit, WaitMode.SPIN, platform.costs)
+            unit = BatchDescriptor(descriptors=members, pasid=pasid)
+        RuntimeOp(self.env, self.core, self.costs).for_submit(
+            self.portal, unit, prepare=True, wait=WaitMode.SPIN
+        ).start_into(self._reaped)
+
+    def _reaped(self, _done) -> None:
+        release = self.pool.release
+        for member in self._members:
+            release(member)
+        self._chunk()
 
 
 def _build_platform() -> Tuple[Platform, Portal, AddressSpace]:
@@ -134,6 +218,22 @@ def _build_platform() -> Tuple[Platform, Portal, AddressSpace]:
     space = AddressSpace()
     portal = platform.open_portal("dsa0", 0, space)
     return platform, portal, space
+
+
+def _start_transfer(
+    platform: Platform,
+    portal: Portal,
+    space: AddressSpace,
+    size: int,
+    use_dsa: bool,
+    params: SarParams,
+    window: int = 1,
+    ranks_active: int = 1,
+) -> _SarSender:
+    """Set up ``window`` SAR messages and push their first entry."""
+    sender = _SarSender(platform, size, params, window, use_dsa, portal, space, ranks_active)
+    platform.env.call_in(0.0, sender.start)
+    return sender
 
 
 def measure_transfer(
@@ -152,18 +252,8 @@ def measure_transfer(
         raise ValueError(f"size must be positive: {size}")
     params = params or SarParams()
     platform, portal, space = _build_platform()
-    core = platform.core(0)
-    bounce = space.allocate(2 * params.segment_size + params.segment_size)
-
-    def run(env):
-        for _message in range(window):
-            if use_dsa:
-                yield from _dsa_transfer(platform, core, portal, space, bounce, size, params)
-            else:
-                yield from _cpu_transfer(platform, core, size, params, ranks_active)
-
     start = platform.env.now
-    platform.env.process(run(platform.env))
+    _start_transfer(platform, portal, space, size, use_dsa, params, window, ranks_active)
     platform.env.run()
     elapsed = (platform.env.now - start) / window
     return TransferResult(size=size, elapsed_ns=elapsed)

@@ -12,12 +12,15 @@ packets between a NIC port and a VirtIO guest queue.  Two data paths:
   while DSA copies), with cache-control set so packets land in LLC
   (G3), and a per-virtqueue *recording array* that restores packet
   order when several threads share DWQs.
+
+Each virtqueue thread (:class:`_CpuQueue`, :class:`_DsaQueue`) runs as a
+chain of bare calendar entries, one stage method per hop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from typing import List, Optional
 
 from repro.cpu.core import CpuCore, CycleCategory
 from repro.dsa.descriptor import BatchDescriptor, WorkDescriptor
@@ -25,7 +28,7 @@ from repro.dsa.opcodes import DescriptorFlags, Opcode
 from repro.mem.address import AddressSpace
 from repro.platform import Platform, spr_platform
 from repro.runtime.driver import Portal
-from repro.runtime.submit import prepare_descriptor, submit
+from repro.runtime.op import RuntimeOp
 
 
 #: Every packet copy: completion record, block on fault, and the
@@ -35,6 +38,8 @@ _PACKET_FLAGS = (
     | DescriptorFlags.BLOCK_ON_FAULT
     | DescriptorFlags.CACHE_CONTROL
 )
+
+_BUSY = CycleCategory.BUSY
 
 
 @dataclass(frozen=True)
@@ -146,69 +151,156 @@ class RecordingArray:
         return released
 
 
-def _cpu_queue(
-    platform: Platform, cfg: VhostConfig, core: CpuCore, result: VhostResult
-) -> Generator:
-    costs = cfg.costs
-    for _burst in range(cfg.bursts):
-        for _pkt in range(cfg.burst_size):
-            yield core.spend(CycleCategory.BUSY, costs.per_packet_overhead_ns)
-            copy = costs.copy_ns(cfg.packet_size)
-            yield core.spend(CycleCategory.BUSY, copy)
-            result.copy_cycles_ns += copy
-            yield core.spend(CycleCategory.BUSY, costs.writeback_ns)
-            result.packets_forwarded += 1
+class _CpuQueue:
+    """One virtqueue's PMD thread on the CPU path, as a chain of bare
+    calendar entries: per packet the descriptor work, the copy and the
+    used-descriptor write-back, each booked on the core and waited out
+    with :meth:`Environment.call_in`."""
+
+    __slots__ = ("env", "core", "result", "overhead_ns", "copy_ns", "writeback_ns", "left")
+
+    def __init__(self, platform: Platform, cfg: VhostConfig, core: CpuCore, result: VhostResult):
+        self.env = platform.env
+        self.core = core
+        self.result = result
+        self.overhead_ns = cfg.costs.per_packet_overhead_ns
+        self.copy_ns = cfg.costs.copy_ns(cfg.packet_size)
+        self.writeback_ns = cfg.costs.writeback_ns
+        self.left = cfg.bursts * cfg.burst_size
+
+    def start(self) -> None:
+        """Top of one packet."""
+        if not self.left:
+            return
+        self.left -= 1
+        delay = self.overhead_ns
+        self.core.account(_BUSY, delay)
+        self.env.call_in(delay, self._copy)
+
+    def _copy(self) -> None:
+        delay = self.copy_ns
+        self.core.account(_BUSY, delay)
+        self.env.call_in(delay, self._copied)
+
+    def _copied(self) -> None:
+        self.result.copy_cycles_ns += self.copy_ns
+        delay = self.writeback_ns
+        self.core.account(_BUSY, delay)
+        self.env.call_in(delay, self._written)
+
+    def _written(self) -> None:
+        self.result.packets_forwarded += 1
+        self.start()
 
 
-def _dsa_queue(
-    platform: Platform,
-    cfg: VhostConfig,
-    core: CpuCore,
-    portal: Portal,
-    space: AddressSpace,
-    result: VhostResult,
-    wq_sharers: int = 1,
-) -> Generator:
-    """Three-stage pipeline: retire burst i-1, submit burst i, overlap."""
-    env = platform.env
-    costs = cfg.costs
-    recording = RecordingArray()
-    pending: Optional[BatchDescriptor] = None
-    pending_indices: List[int] = []
-    # Packet buffers: NIC mbufs (LLC-resident via DDIO) -> guest buffers.
-    nic_pool = [
-        space.allocate(cfg.packet_size, in_llc=True) for _ in range(2 * cfg.burst_size)
-    ]
-    guest_pool = [space.allocate(cfg.packet_size) for _ in range(2 * cfg.burst_size)]
+class _DsaQueue:
+    """One virtqueue's PMD thread on the DSA path: the three-stage
+    pipeline (retire burst i-1, submit burst i, overlap), as a chain of
+    bare calendar entries.
 
-    for burst in range(cfg.bursts + 1):
-        # Stage 1: retire the previous burst's copies in order.
-        if pending is not None:
-            if not pending.completion.done:
-                stall_start = env.now
-                yield pending.completion_event
-                result.dsa_stall_ns += env.now - stall_start
-            for index in pending_indices:
-                recording.mark_completed(index)
-            released = recording.release_prefix()
-            yield core.spend(
-                CycleCategory.BUSY,
-                released * (costs.writeback_ns + costs.reorder_scan_ns),
-            )
-            result.packets_forwarded += released
-            pending = None
-        if burst == cfg.bursts:
-            break
+    Core time is booked and waited out with :meth:`Environment.call_in`;
+    the wait for a late burst hangs on its batch's completion event;
+    preparation and submission run as :class:`~repro.runtime.op.RuntimeOp`
+    stages that settle in place into the next stage.
+    """
 
-        # Stage 2: assemble one batch descriptor for this burst (G1)
-        # with the cache-control hint set (G3: packets are consumed by
-        # the guest soon, keep them in LLC).
+    __slots__ = (
+        "env",
+        "core",
+        "costs",
+        "cfg",
+        "portal",
+        "space",
+        "result",
+        "lock_ns",
+        "recording",
+        "burst",
+        "pending",
+        "pending_indices",
+        "nic_pool",
+        "guest_pool",
+        "stall_start",
+        "released",
+    )
+
+    def __init__(
+        self,
+        platform: Platform,
+        cfg: VhostConfig,
+        core: CpuCore,
+        portal: Portal,
+        space: AddressSpace,
+        result: VhostResult,
+        wq_sharers: int = 1,
+    ):
+        self.env = platform.env
+        self.core = core
+        self.costs = platform.costs
+        self.cfg = cfg
+        self.portal = portal
+        self.space = space
+        self.result = result
+        # Threads sharing a DWQ serialize on its spinlock; cost grows
+        # with the number of contending threads.
+        self.lock_ns = cfg.costs.dwq_lock_ns * (wq_sharers - 1) if wq_sharers > 1 else None
+        self.recording = RecordingArray()
+        self.burst = 0
+
+    def start(self) -> None:
+        cfg = self.cfg
+        space = self.space
+        # Packet buffers: NIC mbufs (LLC-resident via DDIO) -> guest buffers.
+        self.nic_pool = [
+            space.allocate(cfg.packet_size, in_llc=True) for _ in range(2 * cfg.burst_size)
+        ]
+        self.guest_pool = [space.allocate(cfg.packet_size) for _ in range(2 * cfg.burst_size)]
+        self._submit_burst()
+
+    # Stage 1: retire the previous burst's copies in order.
+    def _retire(self) -> None:
+        """Top of each burst after the first."""
+        pending = self.pending
+        if not pending.completion.done:
+            self.stall_start = self.env._now
+            pending.completion_event.callbacks.append(self._caught_up)
+            return
+        self._reap()
+
+    def _caught_up(self, _event) -> None:
+        self.result.dsa_stall_ns += self.env._now - self.stall_start
+        self._reap()
+
+    def _reap(self) -> None:
+        recording = self.recording
+        for index in self.pending_indices:
+            recording.mark_completed(index)
+        released = self.released = recording.release_prefix()
+        costs = self.cfg.costs
+        delay = released * (costs.writeback_ns + costs.reorder_scan_ns)
+        self.core.account(_BUSY, delay)
+        self.env.call_in(delay, self._retired)
+
+    def _retired(self) -> None:
+        self.result.packets_forwarded += self.released
+        self.burst += 1
+        if self.burst == self.cfg.bursts:
+            self.result.reordered_packets = self.recording.reordered
+            return
+        self._submit_burst()
+
+    # Stage 2: assemble one batch descriptor for this burst (G1) with
+    # the cache-control hint set (G3: packets are consumed by the guest
+    # soon, keep them in LLC).
+    def _submit_burst(self) -> None:
+        cfg = self.cfg
+        space = self.space
+        recording = self.recording
         members = []
-        pending_indices = []
-        offset = (burst % 2) * cfg.burst_size
+        indices = self.pending_indices = []
+        offset = (self.burst % 2) * cfg.burst_size
         for pkt in range(cfg.burst_size):
-            src = nic_pool[offset + pkt]
-            dst = guest_pool[offset + pkt]
+            src = self.nic_pool[offset + pkt]
+            dst = self.guest_pool[offset + pkt]
             members.append(
                 WorkDescriptor(
                     opcode=Opcode.MEMMOVE,
@@ -219,24 +311,53 @@ def _dsa_queue(
                     size=cfg.packet_size,
                 )
             )
-            pending_indices.append(recording.record())
-        batch = BatchDescriptor(descriptors=members, pasid=space.pasid)
-        yield from prepare_descriptor(env, core, batch, platform.costs)
-        if wq_sharers > 1:
-            # Threads sharing a DWQ serialize on its spinlock; cost
-            # grows with the number of contending threads.
-            yield core.spend(
-                CycleCategory.BUSY, costs.dwq_lock_ns * (wq_sharers - 1)
-            )
-        yield from submit(env, core, portal, batch, platform.costs)
-        pending = batch
+            indices.append(recording.record())
+        batch = self.pending = BatchDescriptor(descriptors=members, pasid=space.pasid)
+        RuntimeOp(self.env, self.core, self.costs).for_prepare(batch).start_into(self._prepared)
 
-        # Stage 3: overlap the per-packet software work (descriptor
-        # fetch, header processing) with the DSA copy.
-        yield core.spend(
-            CycleCategory.BUSY, cfg.burst_size * costs.per_packet_overhead_ns
-        )
-    result.reordered_packets = recording.reordered
+    def _prepared(self, _done) -> None:
+        delay = self.lock_ns
+        if delay is None:
+            self._locked()
+            return
+        self.core.account(_BUSY, delay)
+        self.env.call_in(delay, self._locked)
+
+    def _locked(self) -> None:
+        RuntimeOp(self.env, self.core, self.costs).for_submit(
+            self.portal, self.pending
+        ).start_into(self._submitted)
+
+    # Stage 3: overlap the per-packet software work (descriptor fetch,
+    # header processing) with the DSA copy.
+    def _submitted(self, _done) -> None:
+        cfg = self.cfg
+        delay = cfg.burst_size * cfg.costs.per_packet_overhead_ns
+        self.core.account(_BUSY, delay)
+        self.env.call_in(delay, self._retire)
+
+
+def _start_vhost(cfg: VhostConfig, platform: Platform):
+    """Set up the virtqueue threads and push each one's first entry;
+    returns ``(result, cores)``."""
+    env = platform.env
+    result = VhostResult(config=cfg, packets_forwarded=0, elapsed_ns=0.0)
+    cores = []
+    # Vhost is one process: all virtqueue threads share an address
+    # space, which also lets several threads share a DWQ (§6.4).
+    space = AddressSpace() if cfg.use_dsa else None
+    for queue in range(cfg.n_queues):
+        core = platform.core(queue)
+        cores.append(core)
+        if cfg.use_dsa:
+            n_wqs = len(platform.driver.device("dsa0").wqs)
+            sharers = cfg.n_queues // n_wqs + (1 if queue % n_wqs < cfg.n_queues % n_wqs else 0)
+            portal = platform.open_portal("dsa0", queue % n_wqs, space)
+            thread = _DsaQueue(platform, cfg, core, portal, space, result, wq_sharers=sharers)
+        else:
+            thread = _CpuQueue(platform, cfg, core, result)
+        env.call_in(0.0, thread.start)
+    return result, cores
 
 
 def run_vhost(cfg: VhostConfig, platform: Optional[Platform] = None) -> VhostResult:
@@ -253,24 +374,8 @@ def run_vhost(cfg: VhostConfig, platform: Optional[Platform] = None) -> VhostRes
             else None
         )
     env = platform.env
-    result = VhostResult(config=cfg, packets_forwarded=0, elapsed_ns=0.0)
     start = env.now
-    cores = []
-    # Vhost is one process: all virtqueue threads share an address
-    # space, which also lets several threads share a DWQ (§6.4).
-    space = AddressSpace() if cfg.use_dsa else None
-    for queue in range(cfg.n_queues):
-        core = platform.core(queue)
-        cores.append(core)
-        if cfg.use_dsa:
-            n_wqs = len(platform.driver.device("dsa0").wqs)
-            sharers = cfg.n_queues // n_wqs + (1 if queue % n_wqs < cfg.n_queues % n_wqs else 0)
-            portal = platform.open_portal("dsa0", queue % n_wqs, space)
-            env.process(
-                _dsa_queue(platform, cfg, core, portal, space, result, wq_sharers=sharers)
-            )
-        else:
-            env.process(_cpu_queue(platform, cfg, core, result))
+    result, cores = _start_vhost(cfg, platform)
     env.run()
     result.elapsed_ns = env.now - start
     result.total_cycles_ns = sum(core.accounted_time for core in cores)

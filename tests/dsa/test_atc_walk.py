@@ -600,3 +600,20 @@ def test_abutting_cached_operands_take_one_access(monkeypatch):
     assert accesses == [(1, 0, 8)]
     assert len(atc._cache._index[1][1]) == 1
     assert (atc.hits, atc.misses) == (8, 8)
+
+
+def test_empty_registry_still_gets_hit_and_miss_counters():
+    """An empty ``MetricsRegistry`` is falsy (it defines ``__len__``);
+    the ATC must still publish its hit and miss counters into it."""
+    iommu = Iommu()
+    table = PageTable(PAGE_4K)
+    table.map_range(0, 4 * PAGE_4K)
+    iommu.attach(1, table)
+    metrics = MetricsRegistry()
+    atc = DeviceAtc(iommu, metrics=metrics)
+    atc.translate(1, 0)
+    atc.translate(1, 0)
+    atc.translate_range(1, 0, 2 * PAGE_4K)
+    snapshot = metrics.snapshot()
+    assert snapshot["atc.misses"] == atc.misses == 2
+    assert snapshot["atc.hits"] == atc.hits == 2

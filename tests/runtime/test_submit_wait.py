@@ -9,6 +9,7 @@ from repro.dsa.descriptor import WorkDescriptor
 from repro.dsa.opcodes import Opcode
 from repro.mem import AddressSpace
 from repro.platform import spr_platform
+from repro.runtime.op import RuntimeOp
 from repro.runtime.submit import prepare_descriptor, submit
 from repro.runtime.wait import WaitMode, wait_for
 
@@ -99,6 +100,44 @@ class TestSubmit:
         platform.env.process(proc(platform.env))
         with pytest.raises(RuntimeError, match="retries"):
             platform.env.run()
+
+
+class TestStartInto:
+    """``RuntimeOp.start_into``: the op settles in place into a bare
+    continuation, with no process and no calendar entry for ``done``."""
+
+    def test_continuation_runs_in_the_last_stage_pop(self):
+        platform, space, portal, core = setup_portal()
+        env = platform.env
+        desc = make_copy_desc(space)
+        seen = []
+        op = RuntimeOp(env, core, platform.costs).for_submit(
+            portal, desc, prepare=True, wait=WaitMode.SPIN
+        )
+        env.call_in(0.0, lambda: op.start_into(lambda done: seen.append((env.now, done.value))))
+        env.run()
+        (when, waited), = seen
+        assert waited > 0 and op.done.processed
+        # The wake stage's pop: completion plus one poll check.
+        assert when == desc.times.completed + platform.costs.poll_check_ns
+        assert core.time_in(CycleCategory.WAIT_SPIN) == waited
+
+    def test_unhandled_submission_error_raises_out_of_run(self):
+        platform, space, portal, core = setup_portal(mode=WqMode.SHARED, wq_size=1)
+        env = platform.env
+        seen = []
+
+        def submit_one():
+            desc = make_copy_desc(space, size=1 << 20)
+            RuntimeOp(env, core, platform.costs).for_submit(
+                portal, desc, max_retries=0
+            ).start_into(seen.append)
+
+        for _ in range(8):  # more than the PEs take plus the one slot
+            env.call_in(0.0, submit_one)
+        with pytest.raises(RuntimeError, match="retries"):
+            env.run()
+        assert seen[0].ok and not seen[-1].ok
 
 
 class TestWait:
