@@ -23,53 +23,40 @@ Quickstart::
     print(result.throughput, "GB/s")
 """
 
-from repro.platform import Platform, icx_platform, spr_platform
-from repro.dsa import (
-    BatchDescriptor,
-    CompletionRecord,
-    DeviceConfig,
-    DsaDevice,
-    DsaTimingParams,
-    Opcode,
-    StatusCode,
-    WorkDescriptor,
-    WqMode,
-)
-from repro.runtime import Dml, DmlPath, Dto, IdxdDriver
-from repro.workloads import (
-    MicrobenchConfig,
-    MicrobenchResult,
-    run_cbdma_microbench,
-    run_dsa_microbench,
-    run_software_microbench,
-)
-from repro.experiments import all_experiments, run_experiment
+from repro._lazy import lazy_exports
+
+#: Public name -> the module that defines it, imported on first use
+#: (:mod:`repro._lazy`): an entry point such as ``repro.fleet.harness``
+#: compiles no experiment or workload module.  Nothing under
+#: ``src/repro`` does ``from repro import ...``.
+_LAZY = {
+    "Platform": "repro.platform",
+    "spr_platform": "repro.platform",
+    "icx_platform": "repro.platform",
+    "Opcode": "repro.dsa",
+    "WorkDescriptor": "repro.dsa",
+    "BatchDescriptor": "repro.dsa",
+    "CompletionRecord": "repro.dsa",
+    "StatusCode": "repro.dsa",
+    "DeviceConfig": "repro.dsa",
+    "WqMode": "repro.dsa",
+    "DsaTimingParams": "repro.dsa",
+    "DsaDevice": "repro.dsa",
+    "IdxdDriver": "repro.runtime",
+    "Dml": "repro.runtime",
+    "DmlPath": "repro.runtime",
+    "Dto": "repro.runtime",
+    "MicrobenchConfig": "repro.workloads",
+    "MicrobenchResult": "repro.workloads",
+    "run_dsa_microbench": "repro.workloads",
+    "run_software_microbench": "repro.workloads",
+    "run_cbdma_microbench": "repro.workloads",
+    "all_experiments": "repro.experiments",
+    "run_experiment": "repro.experiments",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Platform",
-    "spr_platform",
-    "icx_platform",
-    "Opcode",
-    "WorkDescriptor",
-    "BatchDescriptor",
-    "CompletionRecord",
-    "StatusCode",
-    "DeviceConfig",
-    "WqMode",
-    "DsaTimingParams",
-    "DsaDevice",
-    "IdxdDriver",
-    "Dml",
-    "DmlPath",
-    "Dto",
-    "MicrobenchConfig",
-    "MicrobenchResult",
-    "run_dsa_microbench",
-    "run_software_microbench",
-    "run_cbdma_microbench",
-    "all_experiments",
-    "run_experiment",
-    "__version__",
-]
+__all__ = [*_LAZY, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

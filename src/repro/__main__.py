@@ -23,24 +23,24 @@ import os
 import sys
 
 from repro.analysis.tables import Table
-from repro.exec import ParallelRunner, ResultCache, RunConfig
+from repro.exec.cache import ResultCache
+from repro.exec.config import RunConfig
+from repro.exec.runner import ParallelRunner
 from repro.experiments import all_experiments, resolve_ids
 from repro.guidelines import OffloadAdvisor
 from repro.obs import (
-    MemoryWatermark,
     MetricsRegistry,
     ResultSink,
     RingTracer,
     Tracer,
     install_metrics,
     install_tracer,
-    publish_overhead,
-    snapshot_table,
     uninstall_metrics,
     uninstall_tracer,
-    write_chrome_trace,
 )
-from repro.fleet import policy_names
+from repro.obs.export import snapshot_table, write_chrome_trace
+from repro.obs.overhead import MemoryWatermark, publish_overhead
+from repro.fleet.policy import policy_names
 from repro.sim.rng import DEFAULT_SEED
 
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.exec.fingerprint import fingerprint
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import module_path
 
@@ -59,6 +58,17 @@ VARIANT_DEFAULTS = {
     "fleet": "1x1",
     "placement": "round-robin",
 }
+
+
+def fingerprint(module_name: str) -> str:
+    """Source fingerprint of ``module_name``; see :mod:`repro.exec.fingerprint`.
+
+    Imported on first use, so a run that never keys the cache never
+    compiles the fingerprinter.
+    """
+    from repro.exec.fingerprint import fingerprint as source_fingerprint
+
+    return source_fingerprint(module_name)
 
 
 def variant_string(**flags) -> str:

@@ -12,8 +12,13 @@ The closure over-approximates in two deliberate ways:
 
 * a ``from repro.pkg import name`` pulls in ``repro.pkg.name`` when it
   resolves to a module file, and ``repro.pkg`` itself either way;
-* every ancestor package ``__init__.py`` of a member is included, since
-  package import runs its init code.
+* every ancestor package ``__init__.py`` of a member is included, with
+  its own imports, since package import runs its init code.
+
+A package ``__init__`` that re-exports lazily (a ``_LAZY`` name table
+read by a module ``__getattr__``) hides its targets from this scan.  So
+no module under ``src/repro`` imports a lazy name through its package
+(``tests/test_imports.py`` checks this); it imports the defining module.
 
 Over-approximation only ever invalidates a cache entry that was still
 valid — never the reverse.
@@ -22,9 +27,10 @@ valid — never the reverse.
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import repro
 
@@ -49,28 +55,41 @@ def _module_file(name: str, package_root: Path) -> Optional[Path]:
     return None
 
 
-def _imported_modules(source: str, package_root: Path):
-    """Yield dotted names of every ``repro.*`` module ``source`` imports."""
-    tree = ast.parse(source)
-    for node in ast.walk(tree):
+@functools.lru_cache(maxsize=1024)
+def _repro_imports(source: str) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
+    """``(module, names)`` per ``repro.*`` import statement in ``source``.
+
+    ``names`` is empty for ``import repro.x``.  Memoised on the source
+    text (one entry per module version, a few hundred at most): keying
+    every experiment re-scans the same few dozen modules, and parsing
+    them is most of a key's cost.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == "repro" or alias.name.startswith("repro."):
-                    yield alias.name
+                    found.append((alias.name, ()))
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             if node.level:
                 continue  # repro uses absolute imports throughout
-            if module != "repro" and not module.startswith("repro."):
-                continue
-            yield module
-            for alias in node.names:
-                # ``from repro.pkg import name``: include the submodule
-                # when ``name`` is one, otherwise the attr lives in
-                # ``repro.pkg`` which is already yielded above.
-                candidate = f"{module}.{alias.name}"
-                if _module_file(candidate, package_root) is not None:
-                    yield candidate
+            if module == "repro" or module.startswith("repro."):
+                found.append((module, tuple(alias.name for alias in node.names)))
+    return tuple(found)
+
+
+def _imported_modules(source: str, package_root: Path):
+    """Yield dotted names of every ``repro.*`` module ``source`` imports."""
+    for module, names in _repro_imports(source):
+        yield module
+        for name in names:
+            # ``from repro.pkg import name``: include the submodule
+            # when ``name`` is one, otherwise the attr lives in
+            # ``repro.pkg`` which is already yielded above.
+            candidate = f"{module}.{name}"
+            if _module_file(candidate, package_root) is not None:
+                yield candidate
 
 
 def source_closure(
@@ -94,13 +113,14 @@ def source_closure(
         if name in closure:
             continue
         closure[name] = path
-        # Ancestor package __init__ files run at import time too.
+        # Ancestor package __init__ files run at import time too, and
+        # so do their own imports.
         parts = name.split(".")
         for depth in range(1, len(parts)):
             ancestor = ".".join(parts[:depth])
             ancestor_file = _module_file(ancestor, root)
             if ancestor_file is not None and ancestor not in closure:
-                closure[ancestor] = ancestor_file
+                pending.append((ancestor, ancestor_file))
         for imported in _imported_modules(path.read_text(encoding="utf-8"), root):
             if imported not in closure:
                 imported_file = _module_file(imported, root)

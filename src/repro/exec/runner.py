@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, List, Optional
 
@@ -287,6 +286,9 @@ class ParallelRunner:
                 if self.sink is not None:
                     uninstall_sink()
             return
+
+        # Only a parallel run pays for importing the process pool.
+        from concurrent.futures import ProcessPoolExecutor
 
         shard_dir: Optional[str] = None
         if self.sink is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.analysis.series import Series
 from repro.analysis.tables import Table
 from repro.experiments.base import ExperimentResult
-from repro.fleet import FleetConfig, run_fleet
+from repro.fleet.harness import FleetConfig, run_fleet
 
 KB = 1024
 

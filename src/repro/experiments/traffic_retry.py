@@ -24,7 +24,7 @@ from repro.analysis.series import Series
 from repro.analysis.tables import Table
 from repro.dsa.config import DeviceConfig, WqMode
 from repro.experiments.base import ExperimentResult
-from repro.fleet import DEFAULT_FLEET
+from repro.fleet.topology import DEFAULT_FLEET
 from repro.traffic.loadgen import drive_profile
 from repro.traffic.profile import (
     SizeDist,

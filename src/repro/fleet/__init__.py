@@ -7,46 +7,36 @@ loss with re-route accounting (:mod:`repro.fleet.scheduler`), the
 ``--fleet`` topology knob (:mod:`repro.fleet.topology`), and the
 closed-loop measurement harness (:mod:`repro.fleet.harness`) the
 ``fleet-scaling`` experiment and ``scripts/bench_fleet.py`` drive.
+
+Every name here is re-exported lazily, so a run that only parses
+``--fleet`` (``repro.exec.config`` imports :mod:`repro.fleet.topology`)
+compiles neither the harness nor the runtime it drives.
 """
 
-from repro.fleet.harness import FleetConfig, FleetResult, run_fleet
-from repro.fleet.policy import (
-    POLICIES,
-    LeastLoadedPolicy,
-    NumaLocalPolicy,
-    PlacementPolicy,
-    RoundRobinPolicy,
-    make_policy,
-    policy_names,
-)
-from repro.fleet.scheduler import FleetScheduler
-from repro.fleet.topology import (
-    DEFAULT_FLEET,
-    FleetSpec,
-    active_fleet,
-    default_fleet,
-    parse_fleet,
-    set_default_fleet,
-    set_default_placement,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FleetConfig",
-    "FleetResult",
-    "run_fleet",
-    "PlacementPolicy",
-    "RoundRobinPolicy",
-    "NumaLocalPolicy",
-    "LeastLoadedPolicy",
-    "POLICIES",
-    "policy_names",
-    "make_policy",
-    "FleetScheduler",
-    "FleetSpec",
-    "DEFAULT_FLEET",
-    "parse_fleet",
-    "set_default_fleet",
-    "set_default_placement",
-    "default_fleet",
-    "active_fleet",
-]
+#: Public name -> the submodule that defines it, imported on first use.
+_LAZY = {
+    "FleetConfig": "repro.fleet.harness",
+    "FleetResult": "repro.fleet.harness",
+    "run_fleet": "repro.fleet.harness",
+    "PlacementPolicy": "repro.fleet.policy",
+    "RoundRobinPolicy": "repro.fleet.policy",
+    "NumaLocalPolicy": "repro.fleet.policy",
+    "LeastLoadedPolicy": "repro.fleet.policy",
+    "POLICIES": "repro.fleet.policy",
+    "policy_names": "repro.fleet.policy",
+    "make_policy": "repro.fleet.policy",
+    "FleetScheduler": "repro.fleet.scheduler",
+    "FleetSpec": "repro.fleet.topology",
+    "DEFAULT_FLEET": "repro.fleet.topology",
+    "parse_fleet": "repro.fleet.topology",
+    "set_default_fleet": "repro.fleet.topology",
+    "set_default_placement": "repro.fleet.topology",
+    "default_fleet": "repro.fleet.topology",
+    "active_fleet": "repro.fleet.topology",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -3,15 +3,14 @@
 See ``docs/OBSERVABILITY.md`` for the event-category and metric-naming
 conventions, the streaming (constant-memory) tier, and the Perfetto
 workflow.
+
+The trace exporters (``export``), the phase timeline (``phases``) and
+the self-metering (``overhead``) are re-exported lazily: a run that
+writes no trace and prints no metrics never compiles them, nor
+``repro.analysis``.
 """
 
-from repro.obs.export import (
-    chrome_trace_events,
-    iter_chrome_events,
-    metrics_table,
-    snapshot_table,
-    write_chrome_trace,
-)
+from repro._lazy import lazy_exports
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -21,8 +20,6 @@ from repro.obs.metrics import (
     installed_metrics,
     uninstall_metrics,
 )
-from repro.obs.overhead import MemoryWatermark, publish_overhead
-from repro.obs.phases import PHASE_CATEGORIES, phase_breakdown, span_durations
 from repro.obs.sink import ResultSink, install_sink, installed_sink, uninstall_sink
 from repro.obs.streaming import DEFAULT_RELATIVE_ERROR, StreamingHistogram
 from repro.obs.tracer import (
@@ -35,35 +32,42 @@ from repro.obs.tracer import (
     uninstall_tracer,
 )
 
+#: Public name -> the submodule that defines it, imported on first use.
+_LAZY = {
+    "chrome_trace_events": "repro.obs.export",
+    "iter_chrome_events": "repro.obs.export",
+    "metrics_table": "repro.obs.export",
+    "snapshot_table": "repro.obs.export",
+    "write_chrome_trace": "repro.obs.export",
+    "PHASE_CATEGORIES": "repro.obs.phases",
+    "phase_breakdown": "repro.obs.phases",
+    "span_durations": "repro.obs.phases",
+    "MemoryWatermark": "repro.obs.overhead",
+    "publish_overhead": "repro.obs.overhead",
+}
+
 __all__ = [
     "Counter",
     "DEFAULT_RELATIVE_ERROR",
     "Gauge",
     "HistogramMetric",
-    "MemoryWatermark",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "PHASE_CATEGORIES",
     "ResultSink",
     "RingTracer",
     "StreamingHistogram",
     "Tracer",
-    "chrome_trace_events",
     "install_metrics",
     "install_sink",
     "install_tracer",
     "installed_metrics",
     "installed_sink",
     "installed_tracer",
-    "iter_chrome_events",
-    "metrics_table",
-    "phase_breakdown",
-    "publish_overhead",
-    "snapshot_table",
-    "span_durations",
     "uninstall_metrics",
     "uninstall_sink",
     "uninstall_tracer",
-    "write_chrome_trace",
+    *_LAZY,
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -14,29 +14,31 @@ This package is the model equivalent of the DSA software stack:
   a minimum-size threshold and software fallback.
 * :mod:`repro.runtime.recovery` — partial-completion recovery for
   BOF=0 descriptors: bounded retries, backoff, software degradation.
+
+Every name here is re-exported lazily: a traffic run that needs only
+the driver's portals compiles none of DML, DTO or the runtime ops.
 """
 
-from repro.runtime.driver import IdxdDriver, Portal
-from repro.runtime.accel_config import AccelConfig
-from repro.runtime.dml import Dml, DmlJob, DmlPath
-from repro.runtime.dto import Dto
-from repro.runtime.recovery import RecoveryResult, RetryPolicy, recover
-from repro.runtime.submit import prepare_descriptor, submit
-from repro.runtime.wait import WaitMode, wait_for
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "IdxdDriver",
-    "Portal",
-    "AccelConfig",
-    "Dml",
-    "DmlJob",
-    "DmlPath",
-    "Dto",
-    "RecoveryResult",
-    "RetryPolicy",
-    "recover",
-    "submit",
-    "prepare_descriptor",
-    "WaitMode",
-    "wait_for",
-]
+#: Public name -> the submodule that defines it, imported on first use.
+_LAZY = {
+    "IdxdDriver": "repro.runtime.driver",
+    "Portal": "repro.runtime.driver",
+    "AccelConfig": "repro.runtime.accel_config",
+    "Dml": "repro.runtime.dml",
+    "DmlJob": "repro.runtime.dml",
+    "DmlPath": "repro.runtime.dml",
+    "Dto": "repro.runtime.dto",
+    "RecoveryResult": "repro.runtime.recovery",
+    "RetryPolicy": "repro.runtime.recovery",
+    "recover": "repro.runtime.recovery",
+    "submit": "repro.runtime.submit",
+    "prepare_descriptor": "repro.runtime.submit",
+    "WaitMode": "repro.runtime.wait",
+    "wait_for": "repro.runtime.wait",
+}
+
+__all__ = list(_LAZY)
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

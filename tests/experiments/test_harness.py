@@ -1,11 +1,16 @@
 """Tests for the experiment registry, result container, and quick runs.
 
 Every registered experiment gets a quick-mode smoke test: it must run,
-produce at least one table, and keep all its paper anchors.
+produce at least one table, keep all its paper anchors, and render
+exactly its golden file, ``tests/golden/quick/<exp_id>.txt``
+(re-recorded only by ``scripts/record_goldens.py``; see its re-record
+rule).
 """
 
+import functools
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -146,10 +151,34 @@ class TestResultContainer:
         assert not result.anchors_hold
 
 
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden" / "quick"
+
+#: The interpreter the goldens were recorded with.  No other version
+#: has been shown to render the same bytes.
+GOLDEN_PYTHON = (3, 11)
+
+
+@functools.lru_cache(maxsize=None)
+def _quick_result(exp_id):
+    """One quick run per experiment, shared by the anchor and golden tests."""
+    return run_experiment(exp_id, quick=True)
+
+
 @pytest.mark.parametrize("exp_id", all_experiments())
 def test_quick_run_keeps_anchors(exp_id):
-    result = run_experiment(exp_id, quick=True)
+    result = _quick_result(exp_id)
     assert result.exp_id == exp_id
     assert result.tables, f"{exp_id} produced no tables"
     missed = [anchor.name for anchor in result.anchors if not anchor.holds]
     assert not missed, f"{exp_id} missed anchors: {missed}"
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != GOLDEN_PYTHON,
+    reason="quick goldens are recorded on CPython 3.11 only; no identical "
+    "render has been shown on other versions",
+)
+@pytest.mark.parametrize("exp_id", all_experiments())
+def test_quick_run_matches_golden(exp_id):
+    golden = (GOLDEN_DIR / f"{exp_id}.txt").read_text(encoding="utf-8")
+    assert _quick_result(exp_id).render() + "\n" == golden
